@@ -1,27 +1,24 @@
 """Non-TPLM baseline: Random Forest + learner-aware QBC (§4.3).
 
-AL loop over the Rules candidate set: each round trains a bootstrap-
-bagged forest on the labeled pairs, scores every candidate pair with
-all trees in a distributed ``mapInPandas`` (featurizer + tree arrays
-broadcast — committee scoring as a UDF over partitioned pairs), and
-queries the B pairs with the highest bootstrap vote variance
-(Mozafari et al.). Final verdict: forest probability > 0.5 on CAND.
+RF-QBC is a forest strategy for the shared round driver
+(``repro.core.dial._run_rounds``) over the Rules candidate set: each
+round trains a bootstrap-bagged forest on the labeled pairs, scores
+every candidate pair with all trees in a distributed ``mapInPandas``
+(featurizer + tree arrays broadcast — committee scoring as a UDF over
+partitioned pairs), and queries the B pairs with the highest bootstrap
+vote variance (Mozafari et al.). Final verdict: forest probability >
+0.5 on CAND.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.dial import ALConfig, ALResult, _seed_labeled
+from repro.core.dial import ALConfig, ALResult, _run_rounds
 from repro.core.encoders import EmbeddingStore
-from repro.core.evaluate import all_pairs_prf, blocker_recall, test_prf
-from repro.core.labeler import label_pairs
 from repro.forest.features import PairFeaturizer
 from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
 
@@ -70,71 +67,30 @@ def run_rf_qbc(
     n_trees: int = 20,
 ) -> ALResult:
     """Random-Forest AL with QBC selection on the Rules candidate set."""
-    rng = np.random.default_rng(cfg.seed * 7 + 13)
     if store is None:
         store = EmbeddingStore(spark, ds, cfg.d)
     featurizer = PairFeaturizer(
         ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
     )
-    cand = rules_cand_df.cache()
-    cand.count()
-    dup_set = ds.dup_set
-    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
-    T_lab = _seed_labeled(ds, cfg, rng)
 
-    result = ALResult(config={**cfg.__dict__, "blocking": "rf_qbc"}, dataset=ds.name)
-    for rnd in range(cfg.rounds):
-        times: dict[str, float] = {}
+    def train(rnd, T_lab, times):
         t0 = time.perf_counter()
         forest = RandomForest(n_trees=n_trees, seed=cfg.seed * 100 + rnd).fit(
             featurizer(T_lab), T_lab.label.to_numpy()
         )
         times["train_matcher"] = time.perf_counter() - t0
+        return forest.trees
 
-        t0 = time.perf_counter()
-        scored = score_forest(spark, cand, featurizer, forest.trees).cache()
-        scored.count()
-        times["match_cand"] = time.perf_counter() - t0
-
-        cand_rec = blocker_recall(cand, ds.dups)
-        ap = all_pairs_prf(scored, ds.dups)
-        scored_test = score_forest(spark, ds.test, featurizer, forest.trees)
-        tp = test_prf(ds.test, cand, scored_test, threshold=0.5)
-
-        t0 = time.perf_counter()
-        pdf = scored.toPandas()
-        labeled_keys = set(zip(T_lab.rid_r, T_lab.rid_s))
-        mask = [
-            (r, s) not in test_keys and (r, s) not in labeled_keys
-            for r, s in zip(pdf.rid_r, pdf.rid_s)
-        ]
-        sel = pdf[mask].sort_values("variance", ascending=False, kind="stable").head(
+    def pick(selectable, T_lab, cand, trees, rng):
+        return selectable.sort_values("variance", ascending=False, kind="stable").head(
             cfg.budget
         )
-        times["selection"] = time.perf_counter() - t0
 
-        T_lab = pd.concat(
-            [T_lab, label_pairs(sel, dup_set)], ignore_index=True
-        ).drop_duplicates(["rid_r", "rid_s"], keep="first")
-
-        result.history.append(
-            {
-                "round": rnd,
-                "n_labeled": int(len(T_lab)),
-                "cand_recall": cand_rec,
-                "test": tp,
-                "all_pairs": ap,
-                "times": times,
-            }
-        )
-        result.timings = times
-        result.final = {
-            "cand_recall": cand_rec,
-            "test": tp,
-            "all_pairs": ap,
-            "rt_seconds": times["match_cand"],
-            "n_labeled": int(len(T_lab)),
-        }
-        scored.unpersist()
-    cand.unpersist()
-    return result
+    return _run_rounds(
+        ds, cfg, {**cfg.__dict__, "blocking": "rf_qbc"},
+        train=train,
+        score=lambda pairs, trees: score_forest(spark, pairs, featurizer, trees),
+        collect=lambda cand, scored: scored.toPandas(),
+        pick=pick,
+        cand=rules_cand_df,
+    )

@@ -17,6 +17,12 @@ Each round: train matcher on T (Eq 6) → build blocker → retrieve CAND
 (distributed k-NN) → score CAND (distributed paired-mode UDF) → evaluate
 → select B pairs (excluding D_test and already-labeled) → oracle labels
 → augment T. No warm start between rounds (§4.2).
+
+One driver, ``_run_rounds``, owns that round skeleton: the seed set,
+evaluation, the D_test/labeled exclusion, labeling, the growth of T,
+the result bookkeeping and the lifetime of cached CAND frames.
+``run_al`` supplies DIAL's training, blocking, scoring and selection;
+``repro.core.baselines.run_rf_qbc`` supplies a random forest's.
 """
 from __future__ import annotations
 
@@ -34,6 +40,9 @@ from repro.core.ibc import cand_size_for, knn_k_for, l2_normalize, retrieve_cand
 from repro.core.labeler import label_pairs
 from repro.core.matcher import Matcher, pair_align_features, score_pairs
 from repro.core.selectors import select
+from repro.linalg.autograd import Tensor, const, param
+from repro.linalg.losses import bce_with_logits
+from repro.linalg.optim import AdamW
 
 BLOCKING_MODES = ("dial", "paired_fixed", "paired_adapt", "sentencebert", "rules")
 
@@ -88,19 +97,13 @@ class _SBertBlocker:
     its blocking recall disappoints (§4.4)."""
 
     def __init__(self, d: int, seed: int = 0):
-        from repro.linalg.autograd import Tensor, const, param
-        from repro.linalg.losses import bce_with_logits
-        from repro.linalg.optim import AdamW
-
         rng = np.random.default_rng(seed * 17 + 3)
         self.d = d
         self.B = param(np.eye(d) + (0.1 / np.sqrt(d)) * rng.standard_normal((d, d)))
         self.w = param(rng.standard_normal((3 * d, 1)) * np.sqrt(1.0 / (3 * d)))
         self.b = param(np.zeros(1))
-        self._mods = (Tensor, const, param, bce_with_logits, AdamW)
 
     def fit(self, er, es, labels, *, epochs=15, batch_size=16, lr=3e-3, seed=0):
-        Tensor, const, _, bce, AdamW = self._mods
         n = len(labels)
         opt = AdamW(
             [([self.B], 3e-4), ([self.w, self.b], lr)],
@@ -115,7 +118,7 @@ class _SBertBlocker:
                 v = const(es[idx]) @ self.B
                 f = Tensor.concat([u, v, (u - v).abs()], axis=1)
                 logits = (f @ self.w + self.b).reshape(-1)
-                loss = bce(logits, labels[idx])
+                loss = bce_with_logits(logits, labels[idx])
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
@@ -133,6 +136,13 @@ def _seed_labeled(ds, cfg: ALConfig, rng) -> pd.DataFrame:
     if len(neg_pool) == 0:
         # fall back to random non-duplicate pairs
         dup_set = ds.dup_set
+        r_ids, s_ids = set(ds.r_pdf.rid), set(ds.s_pdf.rid)
+        n_dups = sum(1 for r, s in dup_set if r in r_ids and s in s_ids)
+        if cfg.seed_neg > 0 and n_dups >= len(r_ids) * len(s_ids):
+            raise ValueError(
+                "cannot seed T_n: no seed negatives are given and every "
+                f"(r, s) pair of R x S ({len(r_ids)} x {len(s_ids)}) is a duplicate"
+            )
         rows = []
         while len(rows) < cfg.seed_neg:
             r = ds.r_pdf.rid.iloc[int(rng.integers(len(ds.r_pdf)))]
@@ -229,6 +239,118 @@ def _member_embeddings(
     )
 
 
+def _run_rounds(
+    ds,
+    cfg: ALConfig,
+    config: dict,
+    *,
+    train,
+    score,
+    collect,
+    pick,
+    block=None,
+    cand: DataFrame | None = None,
+) -> ALResult:
+    """Algorithm 1's round skeleton: seed T, then per round train, block,
+    score CAND, evaluate, select B pairs outside D_test and T, label
+    them and grow T. The loops differ only in these hooks:
+
+    - ``train(rnd, T, times) -> model`` fits on T and records its own
+      ``times`` entries.
+    - ``block(model) -> DataFrame | None`` returns this round's CAND,
+      or None to keep the previous one (timed as ``index_retrieval``).
+      Without ``block``, ``cand`` is the CAND of every round.
+    - ``score(pairs, model) -> DataFrame`` scores pairs (``prob``).
+    - ``collect(cand, scored) -> pd.DataFrame`` collects the frame to
+      select from; its row order breaks the selector's ties.
+    - ``pick(selectable, T, cand, model, rng) -> pd.DataFrame`` chooses
+      the pairs to label.
+
+    ``config`` is recorded as the result's config. A CAND is cached here
+    only when it is not cached already, and only such a frame is
+    unpersisted here.
+    """
+    result = ALResult(config=config, dataset=ds.name)
+    rng = np.random.default_rng(cfg.seed * 7 + 13)
+    owned = None  # the CAND frame this function cached, if any
+
+    def use(df: DataFrame) -> DataFrame:
+        nonlocal owned
+        if owned is not None:
+            owned.unpersist()
+        owned = None if df.is_cached else df.cache()
+        df.count()
+        return df
+
+    if cand is not None:
+        cand = use(cand)
+    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
+    T = _seed_labeled(ds, cfg, rng)
+    try:
+        for rnd in range(cfg.rounds):
+            times: dict[str, float] = {}
+            model = train(rnd, T, times)
+
+            if block is not None:
+                t0 = time.perf_counter()
+                new = block(model)
+                times["index_retrieval"] = 0.0
+                if new is not None:
+                    cand = use(new)  # materialize under the retrieval timer
+                    times["index_retrieval"] = time.perf_counter() - t0
+
+            # distributed scoring of CAND (the "matching" half of RT)
+            t0 = time.perf_counter()
+            scored = score(cand, model).cache()
+            scored.count()
+            times["match_cand"] = time.perf_counter() - t0
+
+            # evaluation (§4.1)
+            cand_rec = blocker_recall(cand, ds.dups)
+            ap = all_pairs_prf(scored, ds.dups)
+            tp = test_prf(ds.test, cand, score(ds.test, model), threshold=0.5)
+
+            t0 = time.perf_counter()
+            pdf = collect(cand, scored)
+            labeled_keys = set(zip(T.rid_r, T.rid_s))
+            mask = [
+                (r, s) not in test_keys and (r, s) not in labeled_keys
+                for r, s in zip(pdf.rid_r, pdf.rid_s)
+            ]
+            chosen = pick(pdf[mask].reset_index(drop=True), T, cand, model, rng)
+            times["selection"] = time.perf_counter() - t0
+
+            T = pd.concat(
+                [T, label_pairs(chosen, ds.dup_set)], ignore_index=True
+            ).drop_duplicates(["rid_r", "rid_s"], keep="first")
+
+            result.history.append(
+                {
+                    "round": rnd,
+                    "n_labeled": int(len(T)),
+                    "cand_recall": cand_rec,
+                    "cand_size": int(len(pdf)),
+                    "test": tp,
+                    "all_pairs": ap,
+                    "times": times,
+                }
+            )
+            result.timings = times
+            # RT of Table 2/10: blocking + matching time for the final verdict
+            result.final = {
+                "cand_recall": cand_rec,
+                "test": tp,
+                "all_pairs": ap,
+                "rt_seconds": times.get("index_retrieval", 0.0) + times["match_cand"],
+                "n_labeled": int(len(T)),
+            }
+            scored.unpersist()
+    finally:
+        if owned is not None:
+            owned.unpersist()
+    return result
+
+
 def run_al(
     spark: SparkSession,
     ds,
@@ -241,118 +363,50 @@ def run_al(
     ``blocking='rules'``) ``rules_cand`` can be passed in to share work
     across the many configurations the tables sweep."""
     assert cfg.blocking in BLOCKING_MODES, cfg.blocking
-    rng = np.random.default_rng(cfg.seed * 7 + 13)
     if store is None:
         store = EmbeddingStore(spark, ds, cfg.d)
     if cfg.blocking == "rules":
         assert rules_cand is not None, "rules blocking needs a rules_cand DataFrame"
-        rules_cand = rules_cand.cache()
-        rules_cand.count()
-
-    dup_set = ds.dup_set
-    test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
-    T = _seed_labeled(ds, cfg, rng)
+    else:
+        rules_cand = None
     cand_size = _resolve_cand_size(cfg, ds)
     k = cfg.knn_k if cfg.knn_k is not None else knn_k_for(ds.name)
 
-    result = ALResult(config=asdict(cfg), dataset=ds.name)
-    fixed_cand = None  # paired_fixed / rules candidate set is constant
-
-    for rnd in range(cfg.rounds):
-        times: dict[str, float] = {}
-
+    def train(rnd, T, times):
         t0 = time.perf_counter()
         matchers = _train_matcher(store, T, cfg, rnd)
-        matcher = matchers[0]  # backbone provider for single-mode embeddings
         times["train_matcher"] = time.perf_counter() - t0
-
-        # blocker + retrieval
+        # the Rules CAND is given and the paired_fixed CAND never changes
+        members = None
         t0 = time.perf_counter()
-        if cfg.blocking in ("paired_fixed", "rules") and fixed_cand is not None:
-            cand = fixed_cand
-            times["train_committee"] = 0.0
-            times["index_retrieval"] = 0.0
-        else:
-            if cfg.blocking == "rules":
-                cand = rules_cand
-                times["train_committee"] = 0.0
-                times["index_retrieval"] = time.perf_counter() - t0
-            else:
-                r_members, s_members = _member_embeddings(
-                    spark, store, matcher, T, cfg, rnd
-                )
-                times["train_committee"] = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                cand = retrieve_cand(
-                    spark, store.r_rids, store.s_rids, r_members, s_members,
-                    k, cand_size,
-                ).cache()
-                cand.count()  # materialize under the retrieval timer
-                times["index_retrieval"] = time.perf_counter() - t0
-            if cfg.blocking in ("paired_fixed", "rules"):
-                fixed_cand = cand
+        if cfg.blocking != "rules" and (rnd == 0 or cfg.blocking != "paired_fixed"):
+            members = _member_embeddings(spark, store, matchers[0], T, cfg, rnd)
+        times["train_committee"] = time.perf_counter() - t0 if members is not None else 0.0
+        return [m.params() for m in matchers], members
 
-        # distributed matcher scoring of CAND (the "matching" half of RT)
-        t0 = time.perf_counter()
-        mp = matcher.params()
-        mp_list = [m.params() for m in matchers]
-        scored = score_pairs(spark, cand, store, mp_list, average=True).cache()
-        scored.count()
-        times["match_cand"] = time.perf_counter() - t0
+    def block(model):
+        members = model[1]
+        if members is None:
+            return None
+        return retrieve_cand(spark, store.r_rids, store.s_rids, *members, k, cand_size)
 
-        # evaluation (§4.1)
-        cand_rec = blocker_recall(cand, ds.dups)
-        ap = all_pairs_prf(scored, ds.dups)
-        scored_test = score_pairs(spark, ds.test, store, mp_list, average=True)
-        tp = test_prf(ds.test, cand, scored_test, threshold=0.5)
-
-        # selection
-        t0 = time.perf_counter()
-        cand_pdf = cand.join(scored, ["rid_r", "rid_s"], "inner").toPandas()
-        labeled_keys = set(zip(T.rid_r, T.rid_s))
-        mask = [
-            (r, s) not in test_keys and (r, s) not in labeled_keys
-            for r, s in zip(cand_pdf.rid_r, cand_pdf.rid_s)
-        ]
-        selectable = cand_pdf[mask].reset_index(drop=True)
-        chosen = select(
+    def pick(selectable, T, cand, model, rng):
+        return select(
             cfg.selector, selectable, cfg.budget, rng,
             spark=spark, store=store, cand_df=cand,
-            labeled=T, matcher_params=mp,
+            labeled=T, matcher_params=model[0][0],
             matcher_kwargs=dict(
                 epochs=max(5, cfg.matcher_epochs // 2),
                 batch_size=cfg.batch_size,
             ),
         )
-        times["selection"] = time.perf_counter() - t0
 
-        newly = label_pairs(chosen, dup_set)
-        T = pd.concat([T, newly], ignore_index=True).drop_duplicates(
-            ["rid_r", "rid_s"], keep="first"
-        )
-
-        result.history.append(
-            {
-                "round": rnd,
-                "n_labeled": int(len(T)),
-                "cand_recall": cand_rec,
-                "cand_size": int(cand_pdf.shape[0]),
-                "test": tp,
-                "all_pairs": ap,
-                "times": times,
-            }
-        )
-        result.timings = times
-        # RT of Table 2/10: blocking + matching time for the final verdict
-        result.final = {
-            "cand_recall": cand_rec,
-            "test": tp,
-            "all_pairs": ap,
-            "rt_seconds": times["index_retrieval"] + times["match_cand"],
-            "n_labeled": int(len(T)),
-        }
-        if cand is not fixed_cand:
-            cand.unpersist()
-        scored.unpersist()
-
-    return result
+    return _run_rounds(
+        ds, cfg, asdict(cfg),
+        train=train,
+        block=block,
+        score=lambda pairs, model: score_pairs(spark, pairs, store, model[0], average=True),
+        collect=lambda cand, scored: cand.join(scored, ["rid_r", "rid_s"], "inner").toPandas(),
+        pick=pick,
+        cand=rules_cand,
+    )

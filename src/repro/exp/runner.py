@@ -44,7 +44,7 @@ TEST_SCALES = {k: 0.02 for k in BENCH_SCALES} | {"multilingual": 0.004, "abt_buy
 
 
 def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
-                         n_seed: int = 64, n_test: int = 200) -> None:
+                         n_test: int = 200) -> None:
     """§4.5 seed/test construction for the multilingual dataset.
 
     Probe a pretrained index (k=3 NN of each s over the frozen base
@@ -61,7 +61,6 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     pdf = pd.DataFrame(pairs, columns=["rid_r", "rid_s"]).drop_duplicates()
     dup_set = ds.dup_set
     is_dup = np.array([(r, s) in dup_set for r, s in zip(pdf.rid_r, pdf.rid_s)])
-    rng = np.random.default_rng(seed + 271)
     pos = pdf[is_dup].sample(frac=1.0, random_state=seed).reset_index(drop=True)
     neg = pdf[~is_dup].sample(frac=1.0, random_state=seed).reset_index(drop=True)
     n_tp = min(n_test // 4, max(2, len(pos) // 3))
@@ -74,7 +73,16 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     ds.test = spark.createDataFrame(test)
     ds.seed_pos_pdf = pos.iloc[n_tp:].reset_index(drop=True)
     ds.seed_neg_pdf = neg.iloc[n_tn:].reset_index(drop=True)
-    _ = rng  # rng reserved for future sampling variants
+
+
+def _load_or_run(key: str, run) -> dict:
+    """The cached result under ``key``, else ``run()``'s, stored there."""
+    hit = cache.load(key)
+    if hit is not None:
+        return hit
+    out = run()
+    cache.store(key, out)
+    return out
 
 
 class Runner:
@@ -98,9 +106,7 @@ class Runner:
                 ds = make_multilingual(
                     self.spark, scale=self.scales[name], seed=self.seed
                 )
-                d = self.config(name).d
-                n_seed = self.base_cfg.get("seed_pos", 24)
-                prepare_multilingual(self.spark, ds, d, seed=self.seed, n_seed=n_seed)
+                prepare_multilingual(self.spark, ds, self.config(name).d, seed=self.seed)
             else:
                 ds = make_dataset(
                     self.spark, name, scale=self.scales[name], seed=self.seed
@@ -140,55 +146,30 @@ class Runner:
     def al_result(self, name: str, **overrides) -> dict:
         """Run (or fetch) one AL configuration; returns a plain dict."""
         cfg = self.config(name, **overrides)
-        key = self._cache_key(name, cfg, "al")
-        hit = cache.load(key)
-        if hit is not None:
-            return hit
-        res = run_al(
-            self.spark,
-            self.dataset(name),
-            cfg,
-            store=self.store(name),
-            rules_cand=self.rules(name) if cfg.blocking == "rules" else None,
+        return _load_or_run(
+            self._cache_key(name, cfg, "al"),
+            lambda: asdict(run_al(
+                self.spark,
+                self.dataset(name),
+                cfg,
+                store=self.store(name),
+                rules_cand=self.rules(name) if cfg.blocking == "rules" else None,
+            )),
         )
-        out = {
-            "dataset": name,
-            "config": res.config,
-            "history": res.history,
-            "final": res.final,
-            "timings": res.timings,
-        }
-        cache.store(key, out)
-        return out
 
     def rf_result(self, name: str) -> dict:
         cfg = self.config(name)
-        key = self._cache_key(name, cfg, "rf_qbc")
-        hit = cache.load(key)
-        if hit is not None:
-            return hit
-        res = run_rf_qbc(
-            self.spark, self.dataset(name), cfg, self.rules(name), store=self.store(name)
+        return _load_or_run(
+            self._cache_key(name, cfg, "rf_qbc"),
+            lambda: asdict(run_rf_qbc(
+                self.spark, self.dataset(name), cfg, self.rules(name), store=self.store(name)
+            )),
         )
-        out = {
-            "dataset": name,
-            "config": res.config,
-            "history": res.history,
-            "final": res.final,
-            "timings": res.timings,
-        }
-        cache.store(key, out)
-        return out
 
     def jedai_result(self, name: str, workflow: str) -> dict:
-        key = cache.config_key(
-            {"kind": f"jedai_{workflow}", "dataset": name,
-             "scale": self.scales[name], "seed": self.seed}
-        )
-        hit = cache.load(key)
-        if hit is not None:
-            return hit
         fn = jedai.schema_based if workflow == "schema_based" else jedai.schema_agnostic
-        out = fn(self.spark, self.dataset(name))
-        cache.store(key, out)
-        return out
+        return _load_or_run(
+            cache.config_key({"kind": f"jedai_{workflow}", "dataset": name,
+                              "scale": self.scales[name], "seed": self.seed}),
+            lambda: fn(self.spark, self.dataset(name)),
+        )

@@ -1,7 +1,8 @@
 """Non-TPLM baseline: Random Forest + QBC over the Rules candidates."""
 import pytest
 
-from repro.core.baselines import score_forest
+from repro.core import dial
+from repro.core.baselines import run_rf_qbc, score_forest
 from repro.forest.features import PairFeaturizer
 from repro.forest.forest import RandomForest
 
@@ -24,6 +25,36 @@ def test_rf_learns_something(runner):
     """On the (clean) citation data the forest should be strong."""
     res = runner.rf_result("dblp_acm")
     assert res["final"]["all_pairs"]["f1"] > 50
+
+
+def test_rf_qbc_live_seed0(spark, runner, wa, wa_store, monkeypatch):
+    """A live ``run_rf_qbc`` (the tests above read the result cache).
+
+    Seed-0 values of a live run are pinned, so a refactor of the loop
+    cannot change them unnoticed; no D_test pair is sent to the labeler,
+    and the caller's cached Rules CAND stays cached.
+    """
+    selected = []
+    label_pairs = dial.label_pairs
+
+    def spy(pairs, dup_set):
+        selected.extend(zip(pairs.rid_r, pairs.rid_s))
+        return label_pairs(pairs, dup_set)
+
+    monkeypatch.setattr(dial, "label_pairs", spy)
+    rules = runner.rules("walmart_amazon")
+    res = run_rf_qbc(spark, wa, runner.config("walmart_amazon"), rules, store=wa_store)
+    assert [h["n_labeled"] for h in res.history] == [36, 48]
+    assert res.final["cand_recall"] == pytest.approx(91.30434782608695)
+    assert res.final["test"] == pytest.approx(
+        {"precision": 75.0, "recall": 42.857142857142854, "f1": 54.54545454545454}
+    )
+    assert res.final["all_pairs"] == pytest.approx(
+        {"precision": 19.78021978021978, "recall": 78.26086956521739, "f1": 31.57894736842105}
+    )
+    assert len(selected) == 24
+    assert not set(zip(wa.test_pdf.rid_r, wa.test_pdf.rid_s)) & set(selected)
+    assert rules.is_cached
 
 
 def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store):

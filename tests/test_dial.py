@@ -1,8 +1,14 @@
 """End-to-end Algorithm-1 loop integration tests (test profile)."""
+import signal
+from types import SimpleNamespace
+
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.dial import ALConfig, BLOCKING_MODES, run_al
+from pyspark.sql import functions as F
+
+from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
 
 
 def _check_result(res, rounds):
@@ -114,3 +120,65 @@ def test_deterministic_given_seed(spark, runner, wa):
     b = run_al(spark, wa, cfg, store=runner.store("walmart_amazon"))
     assert a.final["cand_recall"] == b.final["cand_recall"]
     assert a.final["all_pairs"] == b.final["all_pairs"]
+    # seed-0 values of a live run, pinned so a refactor of the loop
+    # cannot change them unnoticed
+    assert a.final["n_labeled"] == 36
+    assert a.final["cand_recall"] == pytest.approx(82.6086956521739)
+    assert a.final["test"] == pytest.approx(
+        {"precision": 100.0, "recall": 71.42857142857143, "f1": 83.33333333333333}
+    )
+    assert a.final["all_pairs"] == pytest.approx(
+        {"precision": 17.647058823529413, "recall": 78.26086956521739, "f1": 28.800000000000004}
+    )
+
+
+def test_round_driver_excludes_test_and_labeled_pairs(spark, wa):
+    """The driver hands ``pick`` only CAND pairs outside D_test and T,
+    even when CAND holds all of D_test and every seed pair."""
+    pairs = pd.concat(
+        [wa.test_pdf, wa.seed_pos_pdf, wa.seed_neg_pdf, wa.dups_pdf]
+    )[["rid_r", "rid_s"]].drop_duplicates()
+    seen = []
+
+    def pick(selectable, T, cand, model, rng):
+        seen.append((selectable, T))
+        return selectable.head(4)
+
+    res = _run_rounds(
+        wa, ALConfig(rounds=1, budget=4, seed_pos=12, seed_neg=12), {},
+        train=lambda rnd, T, times: None,
+        score=lambda df, model: df.select("rid_r", "rid_s", F.lit(0.9).alias("prob")),
+        collect=lambda cand, scored: scored.toPandas(),
+        pick=pick,
+        cand=spark.createDataFrame(pairs),
+    )
+    (selectable, T), = seen
+    excluded = set(zip(wa.test_pdf.rid_r, wa.test_pdf.rid_s)) | set(zip(T.rid_r, T.rid_s))
+    assert len(selectable) == len(set(zip(pairs.rid_r, pairs.rid_s)) - excluded) > 0
+    assert not excluded & set(zip(selectable.rid_r, selectable.rid_s))
+    assert res.history[0]["n_labeled"] == len(T) + 4
+    assert res.history[0]["cand_size"] == len(pairs)
+
+
+def test_seed_set_without_nonduplicate_pairs_fails():
+    """No seed negatives and every R x S pair a duplicate: seeding T_n
+    must fail with a clear error instead of drawing forever."""
+    ds = SimpleNamespace(
+        r_pdf=pd.DataFrame({"rid": ["r0", "r1"]}),
+        s_pdf=pd.DataFrame({"rid": ["s0"]}),
+        dup_set={("r0", "s0"), ("r1", "s0")},
+        seed_pos_pdf=pd.DataFrame({"rid_r": ["r0", "r1"], "rid_s": ["s0", "s0"]}),
+        seed_neg_pdf=pd.DataFrame(columns=["rid_r", "rid_s"]),
+    )
+
+    def hang(signum, frame):
+        raise TimeoutError("_seed_labeled did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="duplicate"):
+            _seed_labeled(ds, ALConfig(seed_pos=2, seed_neg=2), np.random.default_rng(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

@@ -6,6 +6,7 @@ import pytest
 from repro.exp import cache
 from repro.exp import paper_numbers as P
 from repro.exp.report import table_markdown
+from repro.exp.runner import Runner
 from repro.exp.tables import TABLES, format_table, table1
 
 
@@ -17,11 +18,20 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert cache.load(key) == {"x": 1.5}
 
 
-def test_cache_key_stable_and_order_insensitive():
+def test_cache_key_stable_and_order_insensitive(monkeypatch):
     k1 = cache.config_key({"a": 1, "b": 2})
     k2 = cache.config_key({"b": 2, "a": 1})
     k3 = cache.config_key({"a": 1, "b": 3})
     assert k1 == k2 != k3
+    # the Runner's keys for one al, rf and jedai run are pinned: a changed
+    # key would miss every result stored under the old one
+    keys = []
+    monkeypatch.setattr(cache, "load", lambda key: keys.append(key) or {})
+    r = Runner(None, profile="test")
+    r.al_result("walmart_amazon")
+    r.rf_result("walmart_amazon")
+    r.jedai_result("walmart_amazon", "schema_based")
+    assert keys == ["705199123e7436cb5b8d", "0656ed4e7ebf79ca3942", "5b5f0e75edacef96dc1f"]
 
 
 def test_runner_reuses_dataset_objects(runner):

@@ -1,85 +1,5 @@
-"""The provided TPC-H-lite generators + the ER extension entry point.
-
-The TPC-H-lite tables are exercised with DuckDB-oracle'd aggregations
-so the provided substrate is covered; the ER re-exports are what the
-paper's experiments consume.
-"""
-import numpy as np
-import pytest
-from pyspark.sql import functions as F
-
+"""The synthetic-data entry point re-exports the ER generators."""
 from repro import synth_data
-from repro.oracle import assert_equivalent
-
-
-@pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.001, seed=0)
-
-
-@pytest.fixture(scope="module")
-def orders(spark):
-    return synth_data.orders(spark, sf=0.001, seed=1)
-
-
-def test_lineitem_shape(li):
-    assert li.count() == 6000
-    assert "l_orderkey" in li.columns
-
-
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.0005, seed=7).toPandas()
-    b = synth_data.lineitem(spark, sf=0.0005, seed=7).toPandas()
-    assert a.equals(b)
-
-
-def test_q1_like_aggregation_oracle(spark, li):
-    """TPC-H Q1-shaped aggregation matches DuckDB."""
-    got = (
-        li.groupBy("l_returnflag", "l_linestatus")
-        .agg(
-            F.sum("l_quantity").alias("sum_qty"),
-            F.count("*").alias("cnt"),
-        )
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT l_returnflag, l_linestatus,
-               sum(l_quantity) AS sum_qty, count(*) AS cnt
-        FROM li GROUP BY 1, 2
-        """,
-        li=li,
-    )
-
-
-def test_join_aggregation_oracle(spark, li, orders):
-    got = (
-        li.join(orders, li.l_orderkey == orders.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT o_orderpriority, count(*) AS cnt
-        FROM li JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY 1
-        """,
-        li=li,
-        orders=orders,
-    )
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2).toPandas()
-    counts = df.k.value_counts()
-    assert counts.iloc[0] > 3 * 5000 / 100  # head key far above uniform
-
-
-def test_uniform_keys_cover(spark):
-    df = synth_data.uniform_keys(spark, n=2000, n_keys=10).toPandas()
-    assert df.k.nunique() == 10
 
 
 def test_er_reexports_available(spark):
