@@ -63,7 +63,6 @@ class Blocker:
         d: int,
         n_members: int = 3,
         mask_p: float = 0.5,
-        tau: float | None = None,
         rank: int | None = 16,
         seed: int = 0,
     ):
@@ -72,10 +71,10 @@ class Blocker:
         self.mask_p = mask_p
         # temperature for exp(-||u-v||^2 / tau). The paper uses tau=1 at
         # d=768 with transformer-scale embeddings; our hashed embeddings
-        # have much smaller norms, so by default tau is estimated at fit
-        # time as half the median random-pair distance (None = adaptive),
-        # which puts Eq 8's softmax in its responsive range.
-        self.tau = tau
+        # have much smaller norms, so tau is estimated at the first fit
+        # as half the median random-pair distance, which puts Eq 8's
+        # softmax in its responsive range.
+        self.tau: float | None = None
         rng = np.random.default_rng(seed * 131 + 7)
         self.masks = [
             (rng.random(d) < mask_p).astype(np.float64) for _ in range(n_members)
@@ -146,8 +145,6 @@ class Blocker:
         negatives: str = "random",
         epochs: int = 60,
         batch_size: int = 16,
-        lr: float = 1e-3,
-        input_dropout: float = 0.3,
         seed: int = 0,
     ) -> list[float]:
         """Train every member; returns per-epoch mean loss of member 0.
@@ -177,7 +174,7 @@ class Blocker:
             steps = max(1, (n_pos + batch_size - 1) // batch_size) * epochs
             # weight decay acts on the deviation factors A_k, B_k
             opt = AdamW(
-                [([self.As[k], self.Bs[k]] + extra, lr)],
+                [([self.As[k], self.Bs[k]] + extra, 1e-3)],
                 total_steps=steps,
                 weight_decay=0.05,
             )
@@ -198,16 +195,15 @@ class Blocker:
                         ni = rng.integers(0, len(zn_all_r), b)
                         zn_r, zn_s = zn_all_r[ni], zn_all_s[ni]
                     zb_r, zb_s = zp_r[idx], zp_s[idx]
-                    if input_dropout > 0:
-                        # dropout augmentation of the *positive* inputs:
-                        # with only a few dozen labeled duplicates, a d x d
-                        # map memorizes them; jittering the frozen inputs
-                        # regularizes toward transforms that co-embed the
-                        # unseen duplicates too (analogue of the paper's
-                        # dropout layers in the RoBERTa heads, §4.2)
-                        keep = 1.0 - input_dropout
-                        zb_r = zb_r * (rng.random(zb_r.shape) < keep) / keep
-                        zb_s = zb_s * (rng.random(zb_s.shape) < keep) / keep
+                    # dropout (rate 0.3) augmentation of the *positive*
+                    # inputs: with only a few dozen labeled duplicates, a
+                    # d x d map memorizes them; jittering the frozen inputs
+                    # regularizes toward transforms that co-embed the
+                    # unseen duplicates too (analogue of the paper's
+                    # dropout layers in the RoBERTa heads, §4.2)
+                    keep = 0.7
+                    zb_r = zb_r * (rng.random(zb_r.shape) < keep) / keep
+                    zb_s = zb_s * (rng.random(zb_s.shape) < keep) / keep
                     loss = self._loss(k, objective, zb_r, zb_s, zn_r, zn_s)
                     opt.zero_grad()
                     loss.backward()

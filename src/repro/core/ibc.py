@@ -1,10 +1,13 @@
 """Index-By-Committee retrieval (Algorithm 1, lines 9-25).
 
 For each committee member: index the member embeddings of all r in R,
-probe with every s in S for its k nearest neighbours (distributed exact
-k-NN, ``repro.index.brute``). The union of retrieved pairs RP is
-deduplicated keeping the minimum distance, and the closest |CAND| pairs
-form the candidate set — all as Spark DataFrame operations.
+probe with every s in S for its k nearest neighbours. All members run in
+one distributed exact k-NN job (``repro.index.brute.knn_join``): the
+member matrices are broadcast and the queries are sent as row ids. Each
+member's pairs are ranked by its own distances, the union RP is
+deduplicated keeping the best rank and the minimum distance, and the
+closest |CAND| pairs form the candidate set — all as Spark DataFrame
+operations.
 
 The same routine serves the single-embedding baselines (PairedFixed,
 PairedAdapt, SentenceBERT) with a one-member "committee".
@@ -40,18 +43,17 @@ def retrieve_cand(
     rid order. S records are the queries, R is indexed — matching the
     paper's "create index on R, probe with each s in S".
     """
-    assert len(r_embs_by_member) == len(s_embs_by_member) >= 1
-    rp: DataFrame | None = None
-    for r_emb, s_emb in zip(r_embs_by_member, s_embs_by_member):
-        knn = knn_join(spark, np.array(s_rids), s_emb, np.array(r_rids), r_emb, k)
-        # rank the member's retrieved pairs by its own distances so the
-        # merge across members is scale-free: each member's best pairs
-        # get an equal claim on the candidate budget ("closest pairs
-        # from RP", robust to members with different distance scales)
-        ranked = knn.withColumn(
-            "rank", F.row_number().over(Window.orderBy(F.col("dist").asc(), "qid", "iid"))
-        )
-        rp = ranked if rp is None else rp.unionByName(ranked)
+    knn = knn_join(spark, s_rids, s_embs_by_member, r_rids, r_embs_by_member, k)
+    # rank each member's retrieved pairs by its own distances so the
+    # merge across members is scale-free: each member's best pairs get
+    # an equal claim on the candidate budget ("closest pairs from RP",
+    # robust to members with different distance scales)
+    rp = knn.withColumn(
+        "rank",
+        F.row_number().over(
+            Window.partitionBy("member").orderBy(F.col("dist").asc(), "qid", "iid")
+        ),
+    )
     cand = (
         rp.groupBy("qid", "iid")
         .agg(F.min("rank").alias("rank"), F.min("dist").alias("dist"))

@@ -149,7 +149,6 @@ def score_pairs(
     pairs: DataFrame,
     store,
     params_list: list[dict],
-    out_cols: list[str] | None = None,
     average: bool = False,
 ) -> DataFrame:
     """Distributed paired-mode scoring of (rid_r, rid_s) pairs.
@@ -162,12 +161,10 @@ def score_pairs(
     column. Embeddings, texts and all member parameters ride one
     broadcast.
     """
-    if average:
+    if average or len(params_list) == 1:
         out_cols = ["prob"]
     else:
-        out_cols = out_cols or (
-            ["prob"] if len(params_list) == 1 else [f"prob_{i}" for i in range(len(params_list))]
-        )
+        out_cols = [f"prob_{i}" for i in range(len(params_list))]
     schema = T.StructType(
         [T.StructField("rid_r", T.StringType()), T.StructField("rid_s", T.StringType())]
         + [T.StructField(c, T.DoubleType()) for c in out_cols]

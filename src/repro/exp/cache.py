@@ -16,7 +16,8 @@ import json
 import os
 from pathlib import Path
 
-CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "/root/repo/.bench_cache"))
+_CHECKOUT = Path(__file__).resolve().parents[3]  # the checkout holding this package
+CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", _CHECKOUT / ".bench_cache"))
 
 
 def config_key(cfg: dict) -> str:

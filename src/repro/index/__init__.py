@@ -1,9 +1,10 @@
 """Nearest-neighbour index substrate (the FAISS stand-in).
 
-``brute.knn_join`` is exact L2 top-k executed as a distributed Spark
-dataflow: the (small) index matrix is broadcast, queries are partitioned
-and each partition computes its top-k with vectorized numpy — the same
-semantics as FAISS ``IndexFlatL2.search`` in the paper. ``kmeans``
+``brute.knn_join`` is exact L2 top-k executed as one distributed Spark
+job for all committee members: the (small) member matrices are
+broadcast, the queries are sent as partitioned row ids, and each batch
+computes every member's top-k with vectorized numpy — the same semantics
+as FAISS ``IndexFlatL2.search`` in the paper. ``kmeans``
 provides k-means++ seeding for the BADGE selector.
 """
 from repro.index.brute import knn_join, knn_numpy  # noqa: F401

@@ -1,16 +1,16 @@
 """Exact k-NN retrieval: distributed (Spark) and driver (numpy) paths.
 
-The index side (all of list R, per committee member) is a few thousand
-x d floats → broadcast. The query side (list S) is a Spark DataFrame of
-(qid, emb) rows; ``mapInPandas`` computes squared-L2 top-k per Arrow
-batch. Exactness makes the DuckDB/numpy oracle checks in tests strict.
+Both sides (lists R and S, per committee member) are a few thousand x d
+floats, so every member's matrices ride one broadcast. The queries are
+sent as row ids only (``spark.range(|S|)``); ``mapInPandas`` slices each
+batch's query rows and computes squared-L2 top-k for all members in one
+Spark job. Exactness makes the DuckDB/numpy oracle checks in tests strict.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 
 def _sq_dists(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -32,55 +32,51 @@ def knn_numpy(Q: np.ndarray, X: np.ndarray, k: int):
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dd, order, axis=1)
 
 
-_KNN_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.StringType()),
-        T.StructField("iid", T.StringType()),
-        T.StructField("dist", T.DoubleType()),
-    ]
-)
-
-
 def knn_join(
     spark: SparkSession,
-    query_ids: np.ndarray,
-    query_emb: np.ndarray,
-    index_ids: np.ndarray,
-    index_emb: np.ndarray,
+    query_ids: list[str],
+    query_embs: list[np.ndarray],
+    index_ids: list[str],
+    index_embs: list[np.ndarray],
     k: int,
-    num_partitions: int | None = None,
 ) -> DataFrame:
-    """Distributed exact k-NN: one output row per (query, neighbour).
+    """Distributed exact k-NN for every member in one Spark job.
 
-    Queries are parallelized as a Spark DataFrame; the index matrix and
-    ids ride a broadcast variable. Returns DataFrame(qid, iid, dist)
-    with ``dist`` = squared L2 (the paper retrieves by L2, §4.2).
+    ``query_embs[m]``/``index_embs[m]`` are member m's (n, d) matrices in
+    id order. One broadcast carries all of them plus both id arrays; the
+    query side is only row numbers (``spark.range``), and each batch
+    slices its rows and runs ``knn_numpy`` per member. Returns
+    DataFrame(member, qid, iid, dist) with ``dist`` = squared L2 (the
+    paper retrieves by L2, §4.2).
     """
-    sc = spark.sparkContext
-    b = sc.broadcast((np.ascontiguousarray(index_emb), list(index_ids), int(k)))
-
-    cols = {"qid": list(query_ids)}
-    cols.update({f"e{j}": query_emb[:, j] for j in range(query_emb.shape[1])})
-    qpdf = pd.DataFrame(cols)
-    n_part = num_partitions or max(2, min(16, len(qpdf) // 64 or 2))
-    qdf = spark.createDataFrame(qpdf).repartition(n_part)
-
-    emb_cols = [f"e{j}" for j in range(query_emb.shape[1])]
+    assert len(query_embs) == len(index_embs) >= 1
+    b = spark.sparkContext.broadcast(
+        (
+            list(query_embs),
+            list(index_embs),
+            np.asarray(query_ids, dtype=object),
+            np.asarray(index_ids, dtype=object),
+            int(k),
+        )
+    )
 
     def part(batches):
-        X, ids, kk = b.value
+        Qs, Xs, qids, iids, kk = b.value
         for pdf in batches:
-            if len(pdf) == 0:
+            rows = pdf["id"].to_numpy()
+            if len(rows) == 0:
                 continue
-            Q = pdf[emb_cols].to_numpy(dtype=np.float64)
-            idx, dist = knn_numpy(Q, X, kk)
-            n_q, kr = idx.shape
-            yield pd.DataFrame(
-                {
-                    "qid": np.repeat(pdf["qid"].to_numpy(), kr),
-                    "iid": np.asarray(ids, dtype=object)[idx.ravel()],
-                    "dist": dist.ravel(),
-                }
-            )
+            for m, (Q, X) in enumerate(zip(Qs, Xs)):
+                idx, dist = knn_numpy(Q[rows], X, kk)
+                yield pd.DataFrame(
+                    {
+                        "member": m,
+                        "qid": np.repeat(qids[rows], idx.shape[1]),
+                        "iid": iids[idx.ravel()],
+                        "dist": dist.ravel(),
+                    }
+                )
 
-    return qdf.mapInPandas(part, schema=_KNN_SCHEMA)
+    n_q = len(query_ids)
+    queries = spark.range(n_q, numPartitions=max(2, min(16, n_q // 64 or 2)))
+    return queries.mapInPandas(part, schema="member int, qid string, iid string, dist double")

@@ -1,5 +1,9 @@
 """Experiment layer: cache, Runner, table harnesses, report rendering."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,21 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert cache.load(key) is None
     cache.store(key, {"x": 1.5})
     assert cache.load(key) == {"x": 1.5}
+
+
+def test_cache_dir_defaults_to_package_checkout():
+    """Without ``REPRO_CACHE_DIR`` the cache sits in the checkout that
+    holds the imported package, wherever that checkout lives."""
+    src = Path(cache.__file__).resolve().parents[2]
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.exp.cache as c; print(c.__file__); print(c.CACHE_DIR)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert Path(out[0]).resolve() == Path(cache.__file__).resolve()
+    assert Path(out[1]) == src.parent / ".bench_cache"
 
 
 def test_cache_key_stable_and_order_insensitive(monkeypatch):

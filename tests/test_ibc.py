@@ -1,9 +1,10 @@
 """Index-By-Committee retrieval (Algorithm 1 lines 9-25)."""
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.ibc import cand_size_for, knn_k_for, l2_normalize, retrieve_cand
+from repro.index.brute import knn_numpy
 from repro.oracle import assert_equivalent
 
 
@@ -24,12 +25,23 @@ def test_l2_normalize():
     np.testing.assert_allclose(out[1], [0.0, 0.0])  # zero row stays zero
 
 
-def test_retrieve_cand_schema_and_size(spark):
-    r_rids, s_rids, r_emb, s_emb = _toy_embs(0)
-    cand = retrieve_cand(spark, r_rids, s_rids, [r_emb], [s_emb], k=3, cand_size=40)
+@pytest.mark.parametrize(
+    "n_r, n_s, k, cand_size",
+    [
+        pytest.param(30, 50, 3, 40, id="default"),
+        pytest.param(3, 10, 5, 1000, id="k_above_R"),
+        pytest.param(1, 20, 3, 100, id="one_R"),
+        pytest.param(30, 1, 3, 100, id="one_S"),
+        pytest.param(30, 0, 3, 40, id="empty_S"),
+        pytest.param(30, 50, 3, 0, id="zero_cand_size"),
+    ],
+)
+def test_retrieve_cand_schema_and_size(spark, n_r, n_s, k, cand_size):
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(0, n_r=n_r, n_s=n_s)
+    cand = retrieve_cand(spark, r_rids, s_rids, [r_emb], [s_emb], k=k, cand_size=cand_size)
     pdf = cand.toPandas()
     assert list(pdf.columns) == ["rid_r", "rid_s", "dist"]
-    assert len(pdf) == 40
+    assert len(pdf) == min(cand_size, n_s * min(k, n_r))
     assert not pdf.duplicated(["rid_r", "rid_s"]).any()
 
 
@@ -39,8 +51,6 @@ def test_retrieve_cand_single_member_is_knn_prefix(spark):
     cand = retrieve_cand(spark, r_rids, s_rids, [r_emb], [s_emb], k=2, cand_size=25)
     pdf = cand.toPandas().sort_values("dist")
     # oracle: all (s, top-2 r) pairs, keep smallest 25 distances
-    from repro.index.brute import knn_numpy
-
     idx, dist = knn_numpy(s_emb, r_emb, 2)
     flat = sorted(dist.ravel())[:25]
     np.testing.assert_allclose(sorted(pdf.dist), flat, atol=1e-9)
@@ -99,6 +109,49 @@ def test_retrieval_dedup_oracle(spark):
         "SELECT rid_r, rid_s, dist FROM single",
         single=single,
     )
+
+
+def test_committee_merge_oracle(spark):
+    """Rank merge of three distinct members under a binding |CAND| limit
+    matches DuckDB over the per-member numpy k-NN results."""
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(5)
+    rng = np.random.default_rng(6)
+    r_embs = [r_emb] + [r_emb + rng.standard_normal(r_emb.shape) for _ in range(2)]
+    s_embs = [s_emb] + [s_emb + rng.standard_normal(s_emb.shape) for _ in range(2)]
+    k, n = 2, 25
+    rp = []
+    for m, (re, se) in enumerate(zip(r_embs, s_embs)):
+        idx, dist = knn_numpy(se, re, k)
+        rp.append(
+            pd.DataFrame(
+                {
+                    "member": m,
+                    "qid": np.repeat(s_rids, k),
+                    "iid": np.asarray(r_rids)[idx.ravel()],
+                    "dist": dist.ravel(),
+                }
+            )
+        )
+    rp = pd.concat(rp, ignore_index=True)
+    assert rp.groupby(["qid", "iid"]).ngroups > 4 * n  # the limit binds
+    sql = f"""
+        SELECT iid AS rid_r, qid AS rid_s, dist FROM (
+          SELECT qid, iid, min(rank) AS rank, min(dist) AS dist FROM (
+            SELECT *, row_number() OVER (
+              PARTITION BY member ORDER BY dist, qid, iid) AS rank
+            FROM rp) t
+          GROUP BY qid, iid
+          ORDER BY rank, dist, qid, iid
+          LIMIT {n}) c
+    """
+    cand = retrieve_cand(spark, r_rids, s_rids, r_embs, s_embs, k=k, cand_size=n)
+    assert_equivalent(cand, sql, rp=rp)
+    # every member contributes: CAND is no single member's top-n
+    pdf = cand.toPandas()
+    got = set(zip(pdf.rid_r, pdf.rid_s))
+    for m in range(3):
+        top = rp[rp.member == m].nsmallest(n, "dist")
+        assert got != set(zip(top.iid, top.qid))
 
 
 def test_cand_size_rules():

@@ -46,7 +46,7 @@ def test_knn_join_matches_numpy(spark):
     x = rng.standard_normal((25, 8))
     qids = np.array([f"q{i}" for i in range(40)])
     xids = np.array([f"x{i}" for i in range(25)])
-    got = knn_join(spark, qids, q, xids, x, 3).toPandas()
+    got = knn_join(spark, qids, [q], xids, [x], 3).toPandas()
     assert len(got) == 40 * 3
     idx, dist = knn_numpy(q, x, 3)
     want = {
@@ -66,7 +66,7 @@ def test_knn_join_oracle(spark):
     x = rng.standard_normal((10, 3))
     qids = np.array([f"q{i}" for i in range(15)])
     xids = np.array([f"x{i}" for i in range(10)])
-    got = knn_join(spark, qids, q, xids, x, 2).select("qid", "dist")
+    got = knn_join(spark, qids, [q], xids, [x], 2).select("qid", "dist")
     qpdf = pd.DataFrame({"qid": qids, "a": q[:, 0], "b": q[:, 1], "c": q[:, 2]})
     xpdf = pd.DataFrame({"iid": xids, "a": x[:, 0], "b": x[:, 1], "c": x[:, 2]})
     assert_equivalent(
@@ -91,8 +91,8 @@ def test_knn_join_deterministic(spark):
     x = rng.standard_normal((9, 4))
     qids = np.array([f"q{i}" for i in range(12)])
     xids = np.array([f"x{i}" for i in range(9)])
-    a = knn_join(spark, qids, q, xids, x, 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
-    b = knn_join(spark, qids, q, xids, x, 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
+    a = knn_join(spark, qids, [q], xids, [x], 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
+    b = knn_join(spark, qids, [q], xids, [x], 3).toPandas().sort_values(["qid", "iid"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
