@@ -89,8 +89,7 @@ def run_rf_qbc(
     return _run_rounds(
         ds, cfg, {**cfg.__dict__, "blocking": "rf_qbc"},
         train=train,
-        score=lambda pairs, trees: score_forest(spark, pairs, featurizer, trees),
-        collect=lambda cand, scored: scored.toPandas(),
+        score=lambda cand, trees: score_forest(spark, cand, featurizer, trees),
         pick=pick,
         cand=rules_cand_df,
     )

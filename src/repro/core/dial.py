@@ -14,9 +14,10 @@ baseline blocking strategies of §4.3, which share everything else
 - ``rules``         — fixed hand-crafted-rules candidate set
 
 Each round: train matcher on T (Eq 6) → build blocker → retrieve CAND
-(distributed k-NN) → score CAND (distributed paired-mode UDF) → evaluate
-→ select B pairs (excluding D_test and already-labeled) → oracle labels
-→ augment T. No warm start between rounds (§4.2).
+(distributed k-NN) → score CAND once (distributed paired-mode UDF) →
+evaluate (D_test predictions come from CAND's scores) → select B pairs
+(excluding D_test and already-labeled) → oracle labels → augment T. No
+warm start between rounds (§4.2).
 
 One driver, ``_run_rounds``, owns that round skeleton: the seed set,
 evaluation, the D_test/labeled exclusion, labeling, the growth of T,
@@ -246,7 +247,6 @@ def _run_rounds(
     *,
     train,
     score,
-    collect,
     pick,
     block=None,
     cand: DataFrame | None = None,
@@ -260,9 +260,10 @@ def _run_rounds(
     - ``block(model) -> DataFrame | None`` returns this round's CAND,
       or None to keep the previous one (timed as ``index_retrieval``).
       Without ``block``, ``cand`` is the CAND of every round.
-    - ``score(pairs, model) -> DataFrame`` scores pairs (``prob``).
-    - ``collect(cand, scored) -> pd.DataFrame`` collects the frame to
-      select from; its row order breaks the selector's ties.
+    - ``score(cand, model) -> DataFrame`` scores CAND (``prob``), once
+      per round. The one collect of its result is the frame to select
+      from, and its row order breaks the selector's ties. Evaluation
+      reads the cached scores; D_test is not scored on its own.
     - ``pick(selectable, T, cand, model, rng) -> pd.DataFrame`` chooses
       the pairs to label.
 
@@ -299,24 +300,23 @@ def _run_rounds(
                     cand = use(new)  # materialize under the retrieval timer
                     times["index_retrieval"] = time.perf_counter() - t0
 
-            # distributed scoring of CAND (the "matching" half of RT)
+            # distributed scoring of CAND (the "matching" half of RT):
+            # one pass, cached for evaluation and collected for selection
             t0 = time.perf_counter()
             scored = score(cand, model).cache()
-            scored.count()
+            pdf = scored.toPandas()
             times["match_cand"] = time.perf_counter() - t0
 
-            # evaluation (§4.1)
+            # evaluation (§4.1); D_test predictions come from CAND's scores
             cand_rec = blocker_recall(cand, ds.dups)
             ap = all_pairs_prf(scored, ds.dups)
-            tp = test_prf(ds.test, cand, score(ds.test, model), threshold=0.5)
+            tp = test_prf(ds.test, scored, threshold=0.5)
 
             t0 = time.perf_counter()
-            pdf = collect(cand, scored)
-            labeled_keys = set(zip(T.rid_r, T.rid_s))
-            mask = [
-                (r, s) not in test_keys and (r, s) not in labeled_keys
-                for r, s in zip(pdf.rid_r, pdf.rid_s)
-            ]
+            excluded = test_keys | set(zip(T.rid_r, T.rid_s))
+            mask = np.array(
+                [(r, s) not in excluded for r, s in zip(pdf.rid_r, pdf.rid_s)], dtype=bool
+            )
             chosen = pick(pdf[mask].reset_index(drop=True), T, cand, model, rng)
             times["selection"] = time.perf_counter() - t0
 
@@ -405,8 +405,7 @@ def run_al(
         ds, cfg, asdict(cfg),
         train=train,
         block=block,
-        score=lambda pairs, model: score_pairs(spark, pairs, store, model[0], average=True),
-        collect=lambda cand, scored: cand.join(scored, ["rid_r", "rid_s"], "inner").toPandas(),
+        score=lambda cand, model: score_pairs(spark, cand, store, model[0], average=True),
         pick=pick,
         cand=rules_cand,
     )

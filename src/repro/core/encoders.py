@@ -3,10 +3,11 @@ plus the per-dataset embedding store the AL loop reads from.
 
 Base embeddings come from the frozen ``HashedLM`` (the pretrained-TPLM
 stand-in) and are computed exactly once per dataset via ``mapInPandas``
-— each executor rebuilds the deterministic hashed encoder locally, so
-no model state needs to be shipped. The *adapted* single-mode embedding
-(what the paper gets by running the matcher-fine-tuned transformer in
-single mode) is the base embedding times the matcher's backbone matrix.
+— each executor uses its process-wide deterministic hashed encoder
+(``shared_lm``), so no model state needs to be shipped. The *adapted*
+single-mode embedding (what the paper gets by running the
+matcher-fine-tuned transformer in single mode) is the base embedding
+times the matcher's backbone matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from repro.text.features import HashedLM
+from repro.text.features import shared_lm
 
 _ENC_SCHEMA = T.StructType(
     [
@@ -29,7 +30,7 @@ def encode_records(spark_df: DataFrame, d: int, text_col: str = "text") -> DataF
     """DataFrame(rid, text, ...) → DataFrame(rid, emb) via mapInPandas."""
 
     def part(batches):
-        lm = HashedLM(d)
+        lm = shared_lm(d)
         for pdf in batches:
             if len(pdf) == 0:
                 continue

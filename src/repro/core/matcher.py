@@ -12,22 +12,23 @@ Architecture (the TPLM-substitute version of §3.1):
 - head ``F_W``: linear → tanh → linear → scalar logit (exactly the
   paper's classification head shape), sigmoid → P(dup) (Eq 5).
 
-Training runs on the driver (T is a few hundred pairs); *scoring* of the
-candidate set runs distributed in ``score_pairs`` (mapInPandas with the
-parameters broadcast).
+Training runs on the driver (T is a few hundred pairs) with a per-call
+``HashedLM``; *scoring* of the candidate set runs distributed in
+``score_pairs`` (mapInPandas with the parameters broadcast, on each
+worker's process-wide ``shared_lm``). D_test is never scored on its
+own: its predictions are read from CAND's scores (§4.1).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits, class_balance_weights
 from repro.linalg.optim import AdamW
-from repro.text.features import HashedLM, N_ALIGN_FEATURES, alignment_features_batch
+from repro.text.features import HashedLM, N_ALIGN_FEATURES, alignment_features_batch, shared_lm
 
 N_ALIGN = N_ALIGN_FEATURES
 
@@ -135,15 +136,6 @@ def predict_from_params(
     return 1.0 / (1.0 + np.exp(-logit)), z1
 
 
-_SCORE_SCHEMA = T.StructType(
-    [
-        T.StructField("rid_r", T.StringType()),
-        T.StructField("rid_s", T.StringType()),
-        T.StructField("prob", T.DoubleType()),
-    ]
-)
-
-
 def score_pairs(
     spark: SparkSession,
     pairs: DataFrame,
@@ -153,21 +145,24 @@ def score_pairs(
 ) -> DataFrame:
     """Distributed paired-mode scoring of (rid_r, rid_s) pairs.
 
-    ``params_list`` may hold several matchers (the QBC committee, or the
-    variance-reduction ensemble): the result has one probability column
-    per member — this is the committee-based scoring UDF over
-    partitioned pair data. With ``average=True`` the member
-    probabilities are averaged inside the UDF into a single ``prob``
-    column. Embeddings, texts and all member parameters ride one
-    broadcast.
+    The result keeps every column of ``pairs`` (CAND's ``dist`` rides
+    along) and appends one probability column per member of
+    ``params_list`` (the QBC committee, or the variance-reduction
+    ensemble): this is the committee-based scoring UDF over partitioned
+    pair data. With ``average=True`` the member probabilities are
+    averaged inside the UDF into a single ``prob`` column. Embeddings,
+    texts and all member parameters ride one broadcast; each task takes
+    its worker's warm ``shared_lm``. The plan is lazy (no Spark job
+    runs here) and spreads the pairs round-robin over
+    ``defaultParallelism`` partitions, which fixes the row order of
+    the result.
     """
     if average or len(params_list) == 1:
         out_cols = ["prob"]
     else:
         out_cols = [f"prob_{i}" for i in range(len(params_list))]
     schema = T.StructType(
-        [T.StructField("rid_r", T.StringType()), T.StructField("rid_s", T.StringType())]
-        + [T.StructField(c, T.DoubleType()) for c in out_cols]
+        pairs.schema.fields + [T.StructField(c, T.DoubleType()) for c in out_cols]
     )
     sc = spark.sparkContext
     b = sc.broadcast(
@@ -185,7 +180,7 @@ def score_pairs(
 
     def part(batches):
         state = b.value
-        lm = HashedLM(state["d"])
+        lm = shared_lm(state["d"])
         for pdf in batches:
             if len(pdf) == 0:
                 continue
@@ -196,19 +191,15 @@ def score_pairs(
                 [state["r_texts"][r] for r in pdf.rid_r],
                 [state["s_texts"][s] for s in pdf.rid_s],
             )
-            out = {"rid_r": pdf.rid_r.values, "rid_s": pdf.rid_s.values}
+            probs = [predict_from_params(p, er, es, align)[0] for p in state["params"]]
             if average:
-                probs = [
-                    predict_from_params(p, er, es, align)[0] for p in state["params"]
-                ]
-                out["prob"] = np.mean(probs, axis=0)
+                pdf["prob"] = np.mean(probs, axis=0)
             else:
-                for c, p in zip(out_cols, state["params"]):
-                    out[c], _ = predict_from_params(p, er, es, align)
-            yield pd.DataFrame(out)
+                for c, p in zip(out_cols, probs):
+                    pdf[c] = p
+            yield pdf
 
-    n_part = max(2, min(16, pairs.count() // 256 or 2))
-    return pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, schema=schema)
+    return pairs.repartition(sc.defaultParallelism).mapInPandas(part, schema=schema)
 
 
 def pair_align_features(store, pairs: pd.DataFrame, lm: HashedLM | None = None) -> np.ndarray:

@@ -119,7 +119,7 @@ def select_qbc(
         mm = Matcher(store.d, seed=1000 + m)
         mm.fit(er_all[boot], es_all[boot], align_all[boot], y_all[boot], **matcher_kwargs)
         params_list.append(mm.params())
-    scored = score_pairs(spark, cand_df, store, params_list).toPandas()
+    scored = score_pairs(spark, cand_df.select("rid_r", "rid_s"), store, params_list).toPandas()
     merged = cand.merge(scored, on=["rid_r", "rid_s"], how="inner")
     mean_p = merged[[f"prob_{i}" for i in range(committee_size)]].mean(axis=1).to_numpy()
     h = entropy(mean_p)

@@ -10,10 +10,13 @@ Record embedding = mean of token vectors (single mode, Eq 3).
 
 Determinism: vectors are derived from blake2b digests of the token
 bytes, so the same token maps to the same vector in every process
-(driver and all Spark executors) with no shared state.
+(driver and all Spark executors) with no shared state. Executor UDFs
+take the process-wide instance of ``shared_lm(d)``, so a reused Python
+worker keeps its token cache across tasks, rounds and runs.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -95,6 +98,16 @@ class HashedLM:
         if not toks:
             return np.zeros((0, self.d))
         return np.stack([self.token_vec(t) for t in toks])
+
+
+@functools.lru_cache(maxsize=None)
+def shared_lm(d: int) -> HashedLM:
+    """The process-wide ``HashedLM`` of dimension ``d``, for executor UDFs.
+
+    Its vectors equal a fresh ``HashedLM(d)``'s bit for bit; only the
+    warm token cache is shared.
+    """
+    return HashedLM(d)
 
 
 N_ALIGN_FEATURES = 6

@@ -9,6 +9,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
+from repro.core.selectors import select
 
 
 def _check_result(res, rounds):
@@ -148,7 +149,6 @@ def test_round_driver_excludes_test_and_labeled_pairs(spark, wa):
         wa, ALConfig(rounds=1, budget=4, seed_pos=12, seed_neg=12), {},
         train=lambda rnd, T, times: None,
         score=lambda df, model: df.select("rid_r", "rid_s", F.lit(0.9).alias("prob")),
-        collect=lambda cand, scored: scored.toPandas(),
         pick=pick,
         cand=spark.createDataFrame(pairs),
     )
@@ -158,6 +158,44 @@ def test_round_driver_excludes_test_and_labeled_pairs(spark, wa):
     assert not excluded & set(zip(selectable.rid_r, selectable.rid_s))
     assert res.history[0]["n_labeled"] == len(T) + 4
     assert res.history[0]["cand_size"] == len(pairs)
+
+
+def test_round_driver_budget_above_selectable_pool(spark, wa):
+    """B larger than the selectable part of CAND: the round labels the
+    whole pool and T grows by its size."""
+    seed = pd.concat([wa.seed_pos_pdf, wa.seed_neg_pdf])
+    excluded = set(zip(wa.test_pdf.rid_r, wa.test_pdf.rid_s)) | set(
+        zip(seed.rid_r, seed.rid_s)
+    )
+    grid = ((r, s) for r in wa.r_pdf.rid for s in wa.s_pdf.rid)
+    pool = pd.DataFrame(
+        [p for p in grid if p not in excluded][:5], columns=["rid_r", "rid_s"]
+    )
+    cand = pd.concat([pool, wa.test_pdf[["rid_r", "rid_s"]]]).drop_duplicates()
+    cfg = ALConfig(rounds=1, budget=50, seed_pos=12, seed_neg=12)
+    res = _run_rounds(
+        wa, cfg, {},
+        train=lambda rnd, T, times: None,
+        score=lambda df, model: df.withColumn("prob", F.lit(0.3)),
+        pick=lambda selectable, T, cand, model, rng: select(
+            cfg.selector, selectable, cfg.budget, rng
+        ),
+        cand=spark.createDataFrame(cand),
+    )
+    assert res.history[0]["cand_size"] == len(cand)
+    assert res.history[0]["n_labeled"] == cfg.seed_pos + cfg.seed_neg + len(pool)
+
+
+def test_empty_cand_round_finishes(spark, runner, wa):
+    """|CAND| = 0: the round scores, evaluates and selects nothing, and
+    ends cleanly with T unchanged."""
+    cfg = runner.config("walmart_amazon", rounds=1, cand_size=0)
+    res = run_al(spark, wa, cfg, store=runner.store("walmart_amazon"))
+    (h,) = res.history
+    assert h["cand_size"] == 0
+    assert h["cand_recall"] == 0.0
+    assert h["n_labeled"] == cfg.seed_pos + cfg.seed_neg
+    assert h["all_pairs"] == h["test"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
 
 def test_seed_set_without_nonduplicate_pairs_fails():

@@ -1,10 +1,11 @@
 """Evaluation metrics (§4.1) vs DuckDB oracles."""
+import duckdb
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.evaluate import _prf, all_pairs_prf, blocker_recall
 from repro.core.evaluate import test_prf as tprf  # alias: bare name would be collected
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +61,92 @@ def test_all_pairs_prf(frames):
     assert m["recall"] == 25.0
 
 
-def test_all_pairs_prf_oracle(frames):
-    """Cross-check tp/n_pred/n_gold against DuckDB."""
-    import pyspark.sql.functions as F
-
-    got = frames["scored"].filter(F.col("prob") > 0.5).join(
-        frames["dups"], ["rid_r", "rid_s"], "inner"
-    ).select("rid_r", "rid_s")
-    assert_equivalent(
-        got,
-        """
-        SELECT s.rid_r, s.rid_s FROM scored s JOIN dups d
-        ON s.rid_r = d.rid_r AND s.rid_s = d.rid_s
-        WHERE s.prob > 0.5
-        """,
-        scored=frames["scored_pdf"][["rid_r", "rid_s", "prob"]],
-        dups=frames["dups_pdf"],
+@pytest.fixture(scope="module")
+def random_frames(spark):
+    """Seeded random frames for the DuckDB oracles: a scored CAND of 300
+    distinct pairs, 60 gold DUPS (30 of them in CAND) and 80 labeled
+    test pairs (40 in CAND, 30 of them gold). 20 of those 40 test pairs
+    get a probability of exactly 0.5, to pin the strict ``prob > 0.5``."""
+    rng = np.random.default_rng(7)
+    grid = [(f"r{i}", f"s{j}") for i in range(40) for j in range(40)]
+    pairs = pd.DataFrame(
+        [grid[i] for i in rng.permutation(len(grid))[:340]], columns=["rid_r", "rid_s"]
     )
+    cand = pairs.iloc[:300].assign(dist=rng.random(300), prob=rng.random(300))
+    cand.loc[rng.choice(np.arange(260, 300), 20, replace=False), "prob"] = 0.5
+    dups = pairs.iloc[270:330].reset_index(drop=True)
+    test = pairs.iloc[260:340].assign(label=rng.integers(0, 2, 80)).reset_index(drop=True)
+    return {
+        "cand": spark.createDataFrame(cand),
+        "dups": spark.createDataFrame(dups),
+        "test": spark.createDataFrame(test),
+        "tables": {"cand": cand, "dups": dups, "test": test},
+    }
+
+
+def _duckdb(sql: str, tables: dict) -> tuple:
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t)
+        return con.execute(sql).fetchone()
+    finally:
+        con.close()
+
+
+def _assert_prf_close(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for k in want:
+        assert abs(got[k] - want[k]) <= 1e-9, (k, got[k], want[k])
+
+
+def test_blocker_recall_oracle(random_frames):
+    f = random_frames
+    hit, n_gold = _duckdb(
+        "SELECT (SELECT count(*) FROM dups JOIN cand USING (rid_r, rid_s)),"
+        " (SELECT count(*) FROM dups)",
+        f["tables"],
+    )
+    assert (hit, n_gold) == (30, 60)
+    assert abs(blocker_recall(f["cand"], f["dups"]) - 100.0 * hit / n_gold) <= 1e-9
+
+
+_ALL_PAIRS_SQL = """
+SELECT (SELECT count(*) FROM cand JOIN dups USING (rid_r, rid_s) WHERE prob {op} 0.5),
+       (SELECT count(*) FROM cand WHERE prob {op} 0.5),
+       (SELECT count(*) FROM dups)
+"""
+
+_TEST_SQL = """
+SELECT sum(pred * label), sum(pred), sum(label) FROM (
+    SELECT test.label, CASE WHEN cand.prob {op} 0.5 THEN 1 ELSE 0 END AS pred
+    FROM test LEFT JOIN cand USING (rid_r, rid_s))
+"""
+
+
+def _prf_oracle(sql: str, f: dict) -> dict:
+    """DuckDB P/R/F1 with ``prob > 0.5``; the frames are chosen so that
+    ``>=`` gives other numbers, so a 0.5 probability is pinned non-dup."""
+    want, loose = (
+        _prf(*(int(x) for x in _duckdb(sql.format(op=op), f["tables"]))) for op in (">", ">=")
+    )
+    assert want != loose
+    assert 0 < want["precision"] < 100 and 0 < want["recall"] < 100
+    return want
+
+
+def test_all_pairs_prf_oracle(random_frames):
+    f = random_frames
+    _assert_prf_close(all_pairs_prf(f["cand"], f["dups"]), _prf_oracle(_ALL_PAIRS_SQL, f))
+
+
+def test_test_prf_oracle(random_frames):
+    f = random_frames
+    _assert_prf_close(tprf(f["test"], f["cand"]), _prf_oracle(_TEST_SQL, f))
 
 
 def test_test_prf(frames):
-    m = tprf(frames["test"], frames["cand"], frames["scored"])
+    m = tprf(frames["test"], frames["scored"])
     # test pairs: (r0,s0) in cand prob .9 -> pred 1 (tp)
     #             (r1,s1) in cand prob .4 -> pred 0
     #             (r9,s9) in cand prob .95 -> pred 1 (fp)
@@ -90,10 +156,10 @@ def test_test_prf(frames):
 
 
 def test_test_prf_pair_not_in_cand_is_negative(spark, frames):
-    empty_cand = spark.createDataFrame(
-        [], schema="rid_r string, rid_s string, dist double"
+    empty_scored_cand = spark.createDataFrame(
+        [], schema="rid_r string, rid_s string, dist double, prob double"
     )
-    m = tprf(frames["test"], empty_cand, frames["scored"])
+    m = tprf(frames["test"], empty_scored_cand)
     assert m["recall"] == 0.0 and m["precision"] == 0.0
 
 

@@ -1,5 +1,8 @@
 """The paired-mode matcher (Eq 5/6): training, inference, distributed
 scoring, and the single-mode adapted embeddings."""
+import time
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -104,6 +107,36 @@ def test_score_pairs_average(spark, trained, wa, wa_store):
     p2 = m2.predict_proba(er, es, align)
     for j, (r, s) in enumerate(zip(T.rid_r, T.rid_s)):
         np.testing.assert_allclose(got.loc[(r, s)], (p1[j] + p2[j]) / 2, atol=1e-9)
+
+
+def test_score_pairs_is_lazy_and_keeps_input_columns(spark, trained, wa_store):
+    """Building the scoring plan starts no Spark job, and the result is
+    the input rows, extra ``dist`` column included, plus ``prob``."""
+    m, T, *_ = trained
+    pairs = T[["rid_r", "rid_s"]].assign(dist=np.linspace(0.0, 1.0, len(T)))
+    pairs_df = spark.createDataFrame(pairs)
+    sc = spark.sparkContext
+    build, run = f"score-plan-{uuid.uuid4()}", f"score-run-{uuid.uuid4()}"
+    sc.setJobGroup(build, "build the score_pairs plan")
+    try:
+        scored = score_pairs(spark, pairs_df, wa_store, [m.params()])
+        sc.setJobGroup(run, "run the score_pairs plan")
+        got = scored.toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    st = sc.statusTracker()
+    deadline = time.monotonic() + 10
+    while not st.getJobIdsForGroup(run) and time.monotonic() < deadline:
+        time.sleep(0.05)  # the listener records jobs in order: build's are in by now
+    assert st.getJobIdsForGroup(run)
+    assert st.getJobIdsForGroup(build) == []
+    assert list(got.columns) == ["rid_r", "rid_s", "dist", "prob"]
+    key = ["rid_r", "rid_s", "dist"]
+    pd.testing.assert_frame_equal(
+        got[key].sort_values(key).reset_index(drop=True),
+        pairs.sort_values(key).reset_index(drop=True),
+    )
 
 
 def test_matcher_separates_holdout(trained, wa, wa_store):

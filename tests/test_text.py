@@ -5,7 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.text.features import HashedLM, alignment_features, alignment_features_batch
+from repro.text.features import (
+    HashedLM,
+    alignment_features,
+    alignment_features_batch,
+    shared_lm,
+)
 from repro.text.tokenize import tokenize
 
 
@@ -35,6 +40,19 @@ def test_token_vec_deterministic_within_process():
     a = HashedLM(64).token_vec("panasonic")
     b = HashedLM(64).token_vec("panasonic")
     np.testing.assert_array_equal(a, b)
+
+
+def test_shared_lm_is_one_instance_per_dim_with_fresh_vectors():
+    """Executor UDFs share one warm encoder per dimension; sharing must
+    not change a single bit of its vectors."""
+    assert shared_lm(64) is shared_lm(64)
+    assert shared_lm(64) is not shared_lm(32)
+    assert shared_lm(32).d == 32
+    fresh = HashedLM(64)
+    for tok in ["panasonic", "panasonlc", "ab", "x1", "dsc-w35"]:
+        np.testing.assert_array_equal(shared_lm(64).token_vec(tok), fresh.token_vec(tok))
+        # second lookup comes from the shared cache
+        np.testing.assert_array_equal(shared_lm(64).token_vec(tok), fresh.token_vec(tok))
 
 
 def test_token_vec_deterministic_across_processes():
