@@ -21,6 +21,7 @@ from repro.core.dial import ALConfig, ALResult, _run_rounds
 from repro.core.encoders import EmbeddingStore
 from repro.forest.features import PairFeaturizer
 from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
+from repro.spark import with_broadcasts
 
 _SCHEMA = T.StructType(
     [
@@ -35,7 +36,8 @@ _SCHEMA = T.StructType(
 def score_forest(
     spark: SparkSession, pairs: DataFrame, featurizer: PairFeaturizer, trees: list[dict]
 ) -> DataFrame:
-    """Distributed forest scoring: prob + QBC vote variance per pair."""
+    """Distributed forest scoring: prob + QBC vote variance per pair.
+    The broadcast is tied to the result (``repro.spark.release``)."""
     b = spark.sparkContext.broadcast((featurizer, trees))
 
     def part(batches):
@@ -54,7 +56,8 @@ def score_forest(
             )
 
     n_part = max(2, min(16, pairs.count() // 512 or 2))
-    return pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, _SCHEMA)
+    scored = pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, _SCHEMA)
+    return with_broadcasts(scored, b)
 
 
 def run_rf_qbc(

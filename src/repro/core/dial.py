@@ -44,6 +44,7 @@ from repro.core.selectors import select
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits
 from repro.linalg.optim import AdamW
+from repro.spark import release
 
 BLOCKING_MODES = ("dial", "paired_fixed", "paired_adapt", "sentencebert", "rules")
 
@@ -269,7 +270,9 @@ def _run_rounds(
 
     ``config`` is recorded as the result's config. A CAND is cached here
     only when it is not cached already, and only such a frame is
-    unpersisted here.
+    released here (unpersisted, its broadcasts destroyed), when it is
+    replaced or the run ends; each round's scored CAND is released at
+    the end of the round.
     """
     result = ALResult(config=config, dataset=ds.name)
     rng = np.random.default_rng(cfg.seed * 7 + 13)
@@ -278,7 +281,7 @@ def _run_rounds(
     def use(df: DataFrame) -> DataFrame:
         nonlocal owned
         if owned is not None:
-            owned.unpersist()
+            release(owned)
         owned = None if df.is_cached else df.cache()
         df.count()
         return df
@@ -344,10 +347,10 @@ def _run_rounds(
                 "rt_seconds": times.get("index_retrieval", 0.0) + times["match_cand"],
                 "n_labeled": int(len(T)),
             }
-            scored.unpersist()
+            release(scored)
     finally:
         if owned is not None:
-            owned.unpersist()
+            release(owned)
     return result
 
 

@@ -3,11 +3,13 @@
 For each committee member: index the member embeddings of all r in R,
 probe with every s in S for its k nearest neighbours. All members run in
 one distributed exact k-NN job (``repro.index.brute.knn_join``): the
-member matrices are broadcast and the queries are sent as row ids. Each
-member's pairs are ranked by its own distances, the union RP is
-deduplicated keeping the best rank and the minimum distance, and the
-closest |CAND| pairs form the candidate set — all as Spark DataFrame
-operations.
+member matrices are broadcast and the queries are sent as ids of fixed
+row blocks, one task per core. The N·k·|S| retrieved pairs then shuffle
+into one partition, where a single pandas reducer merges the committee
+(no shuffle into ``spark.sql.shuffle.partitions``): each member's pairs
+are ranked by its own distances, the union RP is deduplicated keeping
+the best rank and the minimum distance, and the closest |CAND| pairs,
+in that order, form the candidate set.
 
 The same routine serves the single-embedding baselines (PairedFixed,
 PairedAdapt, SentenceBERT) with a one-member "committee".
@@ -15,10 +17,11 @@ PairedAdapt, SentenceBERT) with a one-member "committee".
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.brute import knn_join
+from repro.spark import broadcasts, with_broadcasts
 
 
 def l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -41,29 +44,34 @@ def retrieve_cand(
 
     ``*_embs_by_member[m]`` is the (n, d) member-m embedding matrix in
     rid order. S records are the queries, R is indexed — matching the
-    paper's "create index on R, probe with each s in S".
+    paper's "create index on R, probe with each s in S". The plan is
+    lazy; its one partition holds CAND sorted by (rank, dist, rid_s,
+    rid_r), and ``repro.spark.release`` frees its broadcast.
     """
     knn = knn_join(spark, s_rids, s_embs_by_member, r_rids, r_embs_by_member, k)
-    # rank each member's retrieved pairs by its own distances so the
-    # merge across members is scale-free: each member's best pairs get
-    # an equal claim on the candidate budget ("closest pairs from RP",
-    # robust to members with different distance scales)
-    rp = knn.withColumn(
-        "rank",
-        F.row_number().over(
-            Window.partitionBy("member").orderBy(F.col("dist").asc(), "qid", "iid")
-        ),
-    )
-    cand = (
-        rp.groupBy("qid", "iid")
-        .agg(F.min("rank").alias("rank"), F.min("dist").alias("dist"))
-        .orderBy(F.col("rank").asc(), F.col("dist").asc(), F.col("qid").asc(), F.col("iid").asc())
-        .limit(int(cand_size))
-        .select(
-            F.col("iid").alias("rid_r"), F.col("qid").alias("rid_s"), F.col("dist")
+    n = int(cand_size)
+
+    def merge(batches):
+        parts = list(batches)
+        if not parts:  # empty S: the reducer gets no batches
+            return
+        rp = pd.concat(parts, ignore_index=True)
+        # rank each member's retrieved pairs by its own distances so the
+        # merge across members is scale-free: each member's best pairs
+        # get an equal claim on the candidate budget ("closest pairs
+        # from RP", robust to members with different distance scales)
+        rp = rp.sort_values(["member", "dist", "qid", "iid"], ignore_index=True)
+        rp["rank"] = rp.groupby("member").cumcount() + 1
+        cand = (
+            rp.groupby(["qid", "iid"], as_index=False)
+            .agg(rank=("rank", "min"), dist=("dist", "min"))
+            .sort_values(["rank", "dist", "qid", "iid"])
+            .head(n)
         )
-    )
-    return cand
+        yield cand.rename(columns={"iid": "rid_r", "qid": "rid_s"})[["rid_r", "rid_s", "dist"]]
+
+    cand = knn.repartition(1).mapInPandas(merge, schema="rid_r string, rid_s string, dist double")
+    return with_broadcasts(cand, *broadcasts(knn))
 
 
 def cand_size_for(ds_name: str, n_s: int, size: str = "default") -> int:

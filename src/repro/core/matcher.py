@@ -28,6 +28,7 @@ from pyspark.sql import types as T
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits, class_balance_weights
 from repro.linalg.optim import AdamW
+from repro.spark import with_broadcasts
 from repro.text.features import HashedLM, N_ALIGN_FEATURES, alignment_features_batch, shared_lm
 
 N_ALIGN = N_ALIGN_FEATURES
@@ -155,7 +156,8 @@ def score_pairs(
     its worker's warm ``shared_lm``. The plan is lazy (no Spark job
     runs here) and spreads the pairs round-robin over
     ``defaultParallelism`` partitions, which fixes the row order of
-    the result.
+    the result. The broadcast is tied to the result
+    (``repro.spark.release``).
     """
     if average or len(params_list) == 1:
         out_cols = ["prob"]
@@ -199,7 +201,8 @@ def score_pairs(
                     pdf[c] = p
             yield pdf
 
-    return pairs.repartition(sc.defaultParallelism).mapInPandas(part, schema=schema)
+    scored = pairs.repartition(sc.defaultParallelism).mapInPandas(part, schema=schema)
+    return with_broadcasts(scored, b)
 
 
 def pair_align_features(store, pairs: pd.DataFrame, lm: HashedLM | None = None) -> np.ndarray:

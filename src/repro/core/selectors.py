@@ -23,6 +23,7 @@ import pandas as pd
 
 from repro.core.matcher import Matcher, pair_align_features, predict_from_params, score_pairs
 from repro.index.kmeans import kmeans_pp_indices
+from repro.spark import release
 
 _EPS = 1e-12
 
@@ -119,7 +120,9 @@ def select_qbc(
         mm = Matcher(store.d, seed=1000 + m)
         mm.fit(er_all[boot], es_all[boot], align_all[boot], y_all[boot], **matcher_kwargs)
         params_list.append(mm.params())
-    scored = score_pairs(spark, cand_df.select("rid_r", "rid_s"), store, params_list).toPandas()
+    scored_df = score_pairs(spark, cand_df.select("rid_r", "rid_s"), store, params_list)
+    scored = scored_df.toPandas()
+    release(scored_df)
     merged = cand.merge(scored, on=["rid_r", "rid_s"], how="inner")
     mean_p = merged[[f"prob_{i}" for i in range(committee_size)]].mean(axis=1).to_numpy()
     h = entropy(mean_p)

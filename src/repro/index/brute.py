@@ -2,15 +2,20 @@
 
 Both sides (lists R and S, per committee member) are a few thousand x d
 floats, so every member's matrices ride one broadcast. The queries are
-sent as row ids only (``spark.range(|S|)``); ``mapInPandas`` slices each
-batch's query rows and computes squared-L2 top-k for all members in one
-Spark job. Exactness makes the DuckDB/numpy oracle checks in tests strict.
+cut into fixed row blocks and only block ids are sent
+(``spark.range``), spread over one task per core
+(``defaultParallelism``) so each core unpickles the broadcast once;
+``mapInPandas`` computes squared-L2 top-k of each block for all members
+in one Spark job. Exactness makes the DuckDB/numpy oracle checks in
+tests strict.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+from repro.spark import with_broadcasts
 
 
 def _sq_dists(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -43,11 +48,16 @@ def knn_join(
     """Distributed exact k-NN for every member in one Spark job.
 
     ``query_embs[m]``/``index_embs[m]`` are member m's (n, d) matrices in
-    id order. One broadcast carries all of them plus both id arrays; the
-    query side is only row numbers (``spark.range``), and each batch
-    slices its rows and runs ``knn_numpy`` per member. Returns
-    DataFrame(member, qid, iid, dist) with ``dist`` = squared L2 (the
-    paper retrieves by L2, §4.2).
+    id order. One broadcast carries all of them plus both id arrays. The
+    queries are cut into ``max(2, min(16, n // 64))`` blocks of
+    consecutive rows, a function of n alone: BLAS may round a distance
+    differently in a different block of query rows, so fixed blocks keep
+    every ``dist`` the same bits whatever the core count. The query side
+    is the block ids (``spark.range``) in ``min(#blocks,
+    defaultParallelism)`` partitions; each runs ``knn_numpy`` per block
+    and member. Returns DataFrame(member, qid, iid, dist) with ``dist``
+    = squared L2 (the paper retrieves by L2, §4.2); the broadcast is
+    tied to it (``repro.spark.release``).
     """
     assert len(query_embs) == len(index_embs) >= 1
     b = spark.sparkContext.broadcast(
@@ -60,23 +70,29 @@ def knn_join(
         )
     )
 
+    n_q = len(query_ids)
+    n_blocks = max(2, min(16, n_q // 64))
+
     def part(batches):
         Qs, Xs, qids, iids, kk = b.value
         for pdf in batches:
-            rows = pdf["id"].to_numpy()
-            if len(rows) == 0:
-                continue
-            for m, (Q, X) in enumerate(zip(Qs, Xs)):
-                idx, dist = knn_numpy(Q[rows], X, kk)
-                yield pd.DataFrame(
-                    {
-                        "member": m,
-                        "qid": np.repeat(qids[rows], idx.shape[1]),
-                        "iid": iids[idx.ravel()],
-                        "dist": dist.ravel(),
-                    }
-                )
+            for blk in pdf["id"].to_numpy():
+                rows = np.arange(blk * n_q // n_blocks, (blk + 1) * n_q // n_blocks)
+                if len(rows) == 0:
+                    continue
+                for m, (Q, X) in enumerate(zip(Qs, Xs)):
+                    idx, dist = knn_numpy(Q[rows], X, kk)
+                    yield pd.DataFrame(
+                        {
+                            "member": m,
+                            "qid": np.repeat(qids[rows], idx.shape[1]),
+                            "iid": iids[idx.ravel()],
+                            "dist": dist.ravel(),
+                        }
+                    )
 
-    n_q = len(query_ids)
-    queries = spark.range(n_q, numPartitions=max(2, min(16, n_q // 64 or 2)))
-    return queries.mapInPandas(part, schema="member int, qid string, iid string, dist double")
+    n_part = min(n_blocks, spark.sparkContext.defaultParallelism)
+    knn = spark.range(n_blocks, numPartitions=n_part).mapInPandas(
+        part, schema="member int, qid string, iid string, dist double"
+    )
+    return with_broadcasts(knn, b)

@@ -1,5 +1,7 @@
 """End-to-end Algorithm-1 loop integration tests (test profile)."""
+import os
 import signal
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from pyspark.sql import functions as F
 
+from repro.core.baselines import run_rf_qbc
 from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
 from repro.core.selectors import select
 
@@ -220,3 +223,81 @@ def test_seed_set_without_nonduplicate_pairs_fails():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_runs_release_their_broadcasts(spark, runner, wa, wa_store):
+    """PySpark keeps every broadcast pickled in a file of the context's
+    temp directory until it is destroyed: whole runs leave none behind."""
+    rules = runner.rules("walmart_amazon")
+    tmp = spark.sparkContext._temp_dir
+    before = sorted(os.listdir(tmp))
+    run_al(spark, wa, runner.config("walmart_amazon"), store=wa_store)
+    run_al(spark, wa, runner.config("walmart_amazon", selector="qbc"), store=wa_store)
+    run_rf_qbc(spark, wa, runner.config("walmart_amazon"), rules, store=wa_store)
+    assert sorted(os.listdir(tmp)) == before
+
+
+def _sub_dataset(spark, ds, r_rids, s_rids):
+    """``ds`` cut down to the given R and S records, its pair sets too."""
+    r_keep, s_keep = set(r_rids), set(s_rids)
+
+    def pairs(pdf):
+        return pdf[pdf.rid_r.isin(r_keep) & pdf.rid_s.isin(s_keep)].reset_index(drop=True)
+
+    r_pdf = ds.r_pdf[ds.r_pdf.rid.isin(r_keep)].reset_index(drop=True)
+    s_pdf = ds.s_pdf[ds.s_pdf.rid.isin(s_keep)].reset_index(drop=True)
+    dups_pdf, test_pdf = pairs(ds.dups_pdf), pairs(ds.test_pdf)
+    return replace(
+        ds,
+        R=spark.createDataFrame(r_pdf, ds.R.schema),
+        S=spark.createDataFrame(s_pdf, ds.S.schema),
+        dups=spark.createDataFrame(dups_pdf, ds.dups.schema),
+        test=spark.createDataFrame(test_pdf, ds.test.schema),
+        r_pdf=r_pdf,
+        s_pdf=s_pdf,
+        dups_pdf=dups_pdf,
+        test_pdf=test_pdf,
+        seed_pos_pdf=pairs(ds.seed_pos_pdf),
+        seed_neg_pdf=pairs(ds.seed_neg_pdf),
+    )
+
+
+def _run_al_bounded(spark, ds, cfg, seconds=120):
+    """``run_al`` under an alarm, so a hang fails instead of blocking."""
+
+    def hang(signum, frame):
+        raise TimeoutError("run_al did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return run_al(spark, ds, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _check_edge_run(res, ds, rounds):
+    assert len(res.history) == rounds
+    for h in res.history:
+        assert h["cand_size"] <= len(ds.r_pdf) * len(ds.s_pdf)
+        assert 0 <= h["cand_recall"] <= 100
+        for m in (h["test"], h["all_pairs"]):
+            assert all(0 <= m[key] <= 100 for key in ("precision", "recall", "f1"))
+
+
+def test_loop_with_k_above_R(spark, runner, wa):
+    """A two-record R probed with k = 5 neighbours per query."""
+    r_rids = wa.seed_pos_pdf.rid_r.drop_duplicates().head(2)
+    ds = _sub_dataset(spark, wa, r_rids, wa.s_pdf.rid)
+    assert len(ds.r_pdf) == 2
+    cfg = runner.config("walmart_amazon", knn_k=5)
+    _check_edge_run(_run_al_bounded(spark, ds, cfg), ds, cfg.rounds)
+
+
+def test_loop_with_one_S_record(spark, runner, wa):
+    """|S| = 1: one query per member, a CAND of at most k pairs."""
+    ds = _sub_dataset(spark, wa, wa.r_pdf.rid, wa.seed_pos_pdf.rid_s.head(1))
+    assert len(ds.s_pdf) == 1
+    cfg = runner.config("walmart_amazon")
+    _check_edge_run(_run_al_bounded(spark, ds, cfg), ds, cfg.rounds)

@@ -1,4 +1,8 @@
 """Index-By-Committee retrieval (Algorithm 1 lines 9-25)."""
+import time
+import uuid
+
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -111,6 +115,38 @@ def test_retrieval_dedup_oracle(spark):
     )
 
 
+def _member_knn(r_rids, s_rids, r_embs, s_embs, k) -> pd.DataFrame:
+    """RP: every member's numpy k-NN pairs as (member, qid, iid, dist)."""
+    rp = []
+    for m, (re, se) in enumerate(zip(r_embs, s_embs)):
+        idx, dist = knn_numpy(se, re, k)
+        rp.append(
+            pd.DataFrame(
+                {
+                    "member": m,
+                    "qid": np.repeat(s_rids, idx.shape[1]),
+                    "iid": np.asarray(r_rids)[idx.ravel()],
+                    "dist": dist.ravel(),
+                }
+            )
+        )
+    return pd.concat(rp, ignore_index=True)
+
+
+def _merge_sql(n: int) -> str:
+    """The committee merge over table ``rp``, in CAND's row order."""
+    return f"""
+        SELECT iid AS rid_r, qid AS rid_s, dist FROM (
+          SELECT qid, iid, min(rank) AS rank, min(dist) AS dist FROM (
+            SELECT *, row_number() OVER (
+              PARTITION BY member ORDER BY dist, qid, iid) AS rank
+            FROM rp) t
+          GROUP BY qid, iid) c
+        ORDER BY rank, dist, qid, iid
+        LIMIT {n}
+    """
+
+
 def test_committee_merge_oracle(spark):
     """Rank merge of three distinct members under a binding |CAND| limit
     matches DuckDB over the per-member numpy k-NN results."""
@@ -119,39 +155,85 @@ def test_committee_merge_oracle(spark):
     r_embs = [r_emb] + [r_emb + rng.standard_normal(r_emb.shape) for _ in range(2)]
     s_embs = [s_emb] + [s_emb + rng.standard_normal(s_emb.shape) for _ in range(2)]
     k, n = 2, 25
-    rp = []
-    for m, (re, se) in enumerate(zip(r_embs, s_embs)):
-        idx, dist = knn_numpy(se, re, k)
-        rp.append(
-            pd.DataFrame(
-                {
-                    "member": m,
-                    "qid": np.repeat(s_rids, k),
-                    "iid": np.asarray(r_rids)[idx.ravel()],
-                    "dist": dist.ravel(),
-                }
-            )
-        )
-    rp = pd.concat(rp, ignore_index=True)
+    rp = _member_knn(r_rids, s_rids, r_embs, s_embs, k)
     assert rp.groupby(["qid", "iid"]).ngroups > 4 * n  # the limit binds
-    sql = f"""
-        SELECT iid AS rid_r, qid AS rid_s, dist FROM (
-          SELECT qid, iid, min(rank) AS rank, min(dist) AS dist FROM (
-            SELECT *, row_number() OVER (
-              PARTITION BY member ORDER BY dist, qid, iid) AS rank
-            FROM rp) t
-          GROUP BY qid, iid
-          ORDER BY rank, dist, qid, iid
-          LIMIT {n}) c
-    """
     cand = retrieve_cand(spark, r_rids, s_rids, r_embs, s_embs, k=k, cand_size=n)
-    assert_equivalent(cand, sql, rp=rp)
+    assert_equivalent(cand, _merge_sql(n), rp=rp)
     # every member contributes: CAND is no single member's top-n
     pdf = cand.toPandas()
     got = set(zip(pdf.rid_r, pdf.rid_s))
     for m in range(3):
         top = rp[rp.member == m].nsmallest(n, "dist")
         assert got != set(zip(top.iid, top.qid))
+
+
+def test_committee_merge_oracle_with_ties(spark):
+    """Exact distance ties within a member (duplicated embedding rows)
+    and across members (two identical members): CAND equals the DuckDB
+    merge, and its collected row order is the SQL's ORDER BY, which the
+    round-robin repartition of ``score_pairs`` (and so the random,
+    greedy and BADGE selectors) depends on."""
+    rng = np.random.default_rng(7)
+    # small integer coordinates: every distance is exact, so ties are
+    # exact whatever order the sums run in
+    r_emb = rng.integers(-2, 3, (12, 3)).astype(float)
+    s_emb = rng.integers(-2, 3, (20, 3)).astype(float)
+    r_emb = np.vstack([r_emb, r_emb[:6]])  # duplicated index rows
+    s_emb = np.vstack([s_emb, s_emb[:10]])  # duplicated query rows
+    r_rids = [f"r{i}" for i in range(len(r_emb))]
+    s_rids = [f"s{i}" for i in range(len(s_emb))]
+    other_r = rng.integers(-2, 3, r_emb.shape).astype(float)
+    other_s = rng.integers(-2, 3, s_emb.shape).astype(float)
+    r_embs, s_embs = [r_emb, r_emb, other_r], [s_emb, s_emb, other_s]
+    k, n = 3, 40
+    rp = _member_knn(r_rids, s_rids, r_embs, s_embs, k)
+    assert rp.duplicated(["member", "dist"]).any()  # ties within a member
+    assert rp.groupby(["qid", "iid"]).ngroups > 2 * n  # the limit binds
+    cand = retrieve_cand(spark, r_rids, s_rids, r_embs, s_embs, k=k, cand_size=n)
+    assert_equivalent(cand, _merge_sql(n), rp=rp)
+    con = duckdb.connect()
+    try:
+        con.register("rp", rp)
+        expected = con.execute(_merge_sql(n)).fetchdf()
+    finally:
+        con.close()
+    pd.testing.assert_frame_equal(cand.toPandas(), expected, check_dtype=False)
+
+
+def test_retrieve_cand_plan_has_no_wide_shuffle(spark):
+    """CAND takes one k-NN task per core and one merge task: no stage
+    runs ``spark.sql.shuffle.partitions`` tasks. Adaptive execution
+    would coalesce such a shuffle of toy data into one task, so its
+    coalescing is off here to expose the plan's own partition counts."""
+    r_rids, s_rids, r_emb, s_emb = _toy_embs(8)
+    sc = spark.sparkContext
+    wide = int(spark.conf.get("spark.sql.shuffle.partitions"))
+    assert wide > sc.defaultParallelism + 2
+    coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
+    was = spark.conf.get(coalesce)
+    group = f"retrieve-cand-{uuid.uuid4()}"
+    spark.conf.set(coalesce, "false")
+    sc.setJobGroup(group, "count one CAND")
+    try:
+        retrieve_cand(
+            spark, r_rids, s_rids, [r_emb] * 3, [s_emb] * 3, k=3, cand_size=40
+        ).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+        spark.conf.set(coalesce, was)
+    st = sc.statusTracker()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:  # the listener records jobs asynchronously
+        jobs = [st.getJobInfo(j) for j in st.getJobIdsForGroup(group)]
+        if jobs and all(j is not None and j.status == "SUCCEEDED" for j in jobs):
+            break
+        time.sleep(0.05)
+    assert jobs and all(j.status == "SUCCEEDED" for j in jobs)
+    stages = [st.getStageInfo(s) for j in jobs for s in j.stageIds]
+    tasks = [s.numCompletedTasks for s in stages if s is not None]
+    assert wide not in tasks
+    assert sum(tasks) <= sc.defaultParallelism + 2
 
 
 def test_cand_size_rules():
