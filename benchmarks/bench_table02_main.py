@@ -1,6 +1,7 @@
 """Table 2 (main comparison): 8 methods x 5 datasets, all-pairs P/R/F1/RT.
 
-The heavy lifting (AL runs) is disk-cached; the benchmark measures the
+AL runs are computed live and memoized on the session's Runner, so a
+configuration an earlier table ran is reused; the benchmark measures the
 table-harness end-to-end time and emits paper-vs-measured rows to
 bench_results/table02.{txt,md}.
 """

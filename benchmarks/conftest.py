@@ -1,9 +1,9 @@
 """Benchmark fixtures: a bench-profile Runner shared across all table
 benchmarks, plus an output directory for the rendered tables.
 
-Results of the underlying AL runs are cached in ``.bench_cache/`` so
-the ~100 configurations the ten tables sweep each execute once, even
-across pytest invocations.
+The Runner memoizes AL results in memory, so the ~110 configurations
+the ten tables sweep each execute once per pytest session, and every
+number is computed by the code under test.
 """
 import pathlib
 

@@ -2,8 +2,9 @@
 
 Each ``jobs/tableNN_*.py`` reproduces one table of the paper:
 ``spark-submit jobs/table02_main.py --profile bench`` prints the
-paper-vs-measured rows (and caches the underlying runs under
-``.bench_cache/`` so repeated invocations are incremental).
+paper-vs-measured rows. Every invocation runs its AL configurations
+live; within one process a configuration shared by several tables runs
+once.
 """
 from __future__ import annotations
 

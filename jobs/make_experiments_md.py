@@ -1,6 +1,7 @@
 """Regenerate the measured tables for EXPERIMENTS.md.
 
-Runs all ten table harnesses (cached under .bench_cache/) and writes
+Runs all ten table harnesses live on one Runner (each configuration
+once, ~22 min on 4 cores at bench scale) and writes
 ``experiments_tables.md`` with paper-vs-measured markdown tables; the
 commentary in EXPERIMENTS.md references these.
 

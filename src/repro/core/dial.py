@@ -311,9 +311,11 @@ def _run_rounds(
             times["match_cand"] = time.perf_counter() - t0
 
             # evaluation (§4.1); D_test predictions come from CAND's scores
+            t0 = time.perf_counter()
             cand_rec = blocker_recall(cand, ds.dups)
             ap = all_pairs_prf(scored, ds.dups)
             tp = test_prf(ds.test, scored, threshold=0.5)
+            times["evaluate"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
             excluded = test_keys | set(zip(T.rid_r, T.rid_s))

@@ -1,13 +1,15 @@
 """Shared experiment runner.
 
-Holds per-session state (datasets, embedding stores, Rules candidate
-sets) and dispatches AL runs through the on-disk cache, so the many
-table sweeps that share a configuration (the DIAL default run feeds
-Tables 2/4/5/6/7/8/9) execute exactly once per pytest session *and*
-survive across benchmark re-runs.
+Holds per-process state (datasets, embedding stores, Rules candidate
+sets) and memoizes AL results on the Runner, keyed by the resolved
+config, so the many table sweeps that share a configuration (the DIAL
+default run feeds Tables 2/4/5/6/7/8/9) execute exactly once per pytest
+session or ``make_experiments_md.py`` run. Nothing is kept on disk:
+every result a Runner returns was computed by the code it imported.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -20,7 +22,6 @@ from repro.core.encoders import EmbeddingStore
 from repro.core.ibc import l2_normalize
 from repro.data.er_synth import DATASET_SPECS, make_dataset
 from repro.data.multilingual import make_multilingual
-from repro.exp import cache
 from repro.index.brute import knn_numpy
 from repro.simjoin import jedai
 from repro.simjoin.rules import rules_cand
@@ -75,18 +76,9 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     ds.seed_neg_pdf = neg.iloc[n_tn:].reset_index(drop=True)
 
 
-def _load_or_run(key: str, run) -> dict:
-    """The cached result under ``key``, else ``run()``'s, stored there."""
-    hit = cache.load(key)
-    if hit is not None:
-        return hit
-    out = run()
-    cache.store(key, out)
-    return out
-
-
 class Runner:
-    """Caches datasets/stores/rules per (profile, seed) Spark session."""
+    """Caches datasets/stores/rules and AL results per (profile, seed)
+    Spark session, for the lifetime of the Runner."""
 
     def __init__(self, spark: SparkSession, profile: str = "bench", seed: int = 0):
         assert profile in ("bench", "test")
@@ -98,6 +90,7 @@ class Runner:
         self._datasets: dict[str, object] = {}
         self._stores: dict[str, EmbeddingStore] = {}
         self._rules: dict[str, object] = {}
+        self._results: dict[str, dict] = {}
 
     # -- shared artefacts --------------------------------------------------
     def dataset(self, name: str):
@@ -133,21 +126,22 @@ class Runner:
         cfg = ALConfig(seed=self.seed, **self.base_cfg)
         return replace(cfg, **overrides)
 
-    def _cache_key(self, name: str, cfg: ALConfig, kind: str) -> str:
-        resolved = {
-            "kind": kind,
-            "dataset": name,
-            "scale": self.scales[name],
-            "profile": self.profile,
-            **asdict(cfg),
-        }
-        return cache.config_key(resolved)
+    def _memo(self, key: dict, run) -> dict:
+        """``run()``'s result, computed once per Runner for ``key``."""
+        k = json.dumps(key, sort_keys=True)
+        if k not in self._results:
+            self._results[k] = run()
+        return self._results[k]
+
+    def _al_key(self, name: str, cfg: ALConfig, kind: str) -> dict:
+        return {"kind": kind, "dataset": name, "scale": self.scales[name],
+                "profile": self.profile, **asdict(cfg)}
 
     def al_result(self, name: str, **overrides) -> dict:
-        """Run (or fetch) one AL configuration; returns a plain dict."""
+        """Run (or reuse) one AL configuration; returns a plain dict."""
         cfg = self.config(name, **overrides)
-        return _load_or_run(
-            self._cache_key(name, cfg, "al"),
+        return self._memo(
+            self._al_key(name, cfg, "al"),
             lambda: asdict(run_al(
                 self.spark,
                 self.dataset(name),
@@ -159,8 +153,8 @@ class Runner:
 
     def rf_result(self, name: str) -> dict:
         cfg = self.config(name)
-        return _load_or_run(
-            self._cache_key(name, cfg, "rf_qbc"),
+        return self._memo(
+            self._al_key(name, cfg, "rf_qbc"),
             lambda: asdict(run_rf_qbc(
                 self.spark, self.dataset(name), cfg, self.rules(name), store=self.store(name)
             )),
@@ -168,8 +162,8 @@ class Runner:
 
     def jedai_result(self, name: str, workflow: str) -> dict:
         fn = jedai.schema_based if workflow == "schema_based" else jedai.schema_agnostic
-        return _load_or_run(
-            cache.config_key({"kind": f"jedai_{workflow}", "dataset": name,
-                              "scale": self.scales[name], "seed": self.seed}),
+        return self._memo(
+            {"kind": f"jedai_{workflow}", "dataset": name,
+             "scale": self.scales[name], "seed": self.seed},
             lambda: fn(self.spark, self.dataset(name)),
         )

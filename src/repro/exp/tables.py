@@ -146,7 +146,7 @@ def table5(runner: Runner) -> dict:
 def _cand_size_override(dataset: str, size: str) -> dict:
     """Canonicalize Table 6 sizes onto the default config when equal
     (§4.2: default = medium for most datasets, = large for Abt-Buy), so
-    the cached default run is reused."""
+    the default run is reused."""
     if size == "medium" and dataset != "abt_buy":
         return {}
     if size == "large" and dataset == "abt_buy":

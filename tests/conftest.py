@@ -1,4 +1,4 @@
-"""Shared test fixtures: a test-profile Runner and cached tiny datasets.
+"""Shared test fixtures: a test-profile Runner and its tiny datasets.
 
 The session ``spark`` fixture comes from the repo-root conftest.
 """

@@ -28,7 +28,7 @@ def test_rf_learns_something(runner):
 
 
 def test_rf_qbc_live_seed0(spark, runner, wa, wa_store, monkeypatch):
-    """A live ``run_rf_qbc`` (the tests above read the result cache).
+    """A ``run_rf_qbc`` of its own (the tests above share the Runner's result).
 
     Seed-0 values of a live run are pinned, so a refactor of the loop
     cannot change them unnoticed; no D_test pair is sent to the labeler,

@@ -33,6 +33,16 @@ def test_loop_runs_every_blocking_mode(runner, blocking):
     _check_result(res, runner.base_cfg["rounds"])
 
 
+def test_every_round_times_evaluation(runner):
+    """The three metric calls of each round are timed as ``evaluate``,
+    in the DIAL and the RF-QBC loop alike."""
+    for res in (runner.al_result("walmart_amazon", blocking="dial"),
+                runner.rf_result("walmart_amazon")):
+        assert len(res["history"]) == runner.base_cfg["rounds"]
+        for h in res["history"]:
+            assert h["times"]["evaluate"] > 0
+
+
 def test_labels_grow_by_budget(runner):
     res = runner.al_result("walmart_amazon", blocking="dial")
     ns = [h["n_labeled"] for h in res["history"]]

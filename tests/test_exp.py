@@ -1,56 +1,12 @@
-"""Experiment layer: cache, Runner, table harnesses, report rendering."""
+"""Experiment layer: Runner, table harnesses, report rendering."""
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
+import uuid
 
-import pytest
-
-from repro.exp import cache
 from repro.exp import paper_numbers as P
 from repro.exp.report import table_markdown
 from repro.exp.runner import Runner
 from repro.exp.tables import TABLES, format_table, table1
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setattr(cache, "CACHE_DIR", tmp_path)
-    key = cache.config_key({"a": 1, "b": [1, 2]})
-    assert cache.load(key) is None
-    cache.store(key, {"x": 1.5})
-    assert cache.load(key) == {"x": 1.5}
-
-
-def test_cache_dir_defaults_to_package_checkout():
-    """Without ``REPRO_CACHE_DIR`` the cache sits in the checkout that
-    holds the imported package, wherever that checkout lives."""
-    src = Path(cache.__file__).resolve().parents[2]
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
-    env["PYTHONPATH"] = str(src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import repro.exp.cache as c; print(c.__file__); print(c.CACHE_DIR)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    assert Path(out[0]).resolve() == Path(cache.__file__).resolve()
-    assert Path(out[1]) == src.parent / ".bench_cache"
-
-
-def test_cache_key_stable_and_order_insensitive(monkeypatch):
-    k1 = cache.config_key({"a": 1, "b": 2})
-    k2 = cache.config_key({"b": 2, "a": 1})
-    k3 = cache.config_key({"a": 1, "b": 3})
-    assert k1 == k2 != k3
-    # the Runner's keys for one al, rf and jedai run are pinned: a changed
-    # key would miss every result stored under the old one
-    keys = []
-    monkeypatch.setattr(cache, "load", lambda key: keys.append(key) or {})
-    r = Runner(None, profile="test")
-    r.al_result("walmart_amazon")
-    r.rf_result("walmart_amazon")
-    r.jedai_result("walmart_amazon", "schema_based")
-    assert keys == ["705199123e7436cb5b8d", "0656ed4e7ebf79ca3942", "5b5f0e75edacef96dc1f"]
 
 
 def test_runner_reuses_dataset_objects(runner):
@@ -58,10 +14,34 @@ def test_runner_reuses_dataset_objects(runner):
     assert runner.store("walmart_amazon") is runner.store("walmart_amazon")
 
 
-def test_al_result_cached_on_disk(runner):
+def _quality(res):
+    return [{k: h[k] for k in ("n_labeled", "cand_recall", "cand_size", "test", "all_pairs")}
+            for h in res["history"]]
+
+
+def test_al_result_memoized_per_runner(spark, runner):
+    """A Runner computes each configuration once and keeps the result in
+    memory; a new Runner computes it again."""
     a = runner.al_result("walmart_amazon", blocking="dial")
-    b = runner.al_result("walmart_amazon", blocking="dial")
-    assert a == b  # second call must come from cache (exact JSON match)
+    sc = spark.sparkContext
+    hit, fresh = f"memo-hit-{uuid.uuid4()}", f"memo-fresh-{uuid.uuid4()}"
+    sc.setJobGroup(hit, "repeat a memoized al_result")
+    try:
+        b = runner.al_result("walmart_amazon", blocking="dial")
+        sc.setJobGroup(fresh, "the same al_result on a new Runner")
+        c = Runner(spark, profile="test").al_result("walmart_amazon", blocking="dial")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    st = sc.statusTracker()
+    deadline = time.monotonic() + 10
+    while not st.getJobIdsForGroup(fresh) and time.monotonic() < deadline:
+        time.sleep(0.05)  # the listener records jobs in order: hit's are in by now
+    assert b is a
+    assert st.getJobIdsForGroup(hit) == []
+    assert c is not a
+    assert st.getJobIdsForGroup(fresh)
+    assert _quality(c) == _quality(a)
 
 
 def test_paper_numbers_complete():
