@@ -1,10 +1,12 @@
 """Shared plumbing for spark-submit entrypoints.
 
 Each ``jobs/tableNN_*.py`` reproduces one table of the paper:
-``spark-submit jobs/table02_main.py --profile bench`` prints the
-paper-vs-measured rows. Every invocation runs its AL configurations
-live; within one process a configuration shared by several tables runs
-once.
+``spark-submit jobs/table02_main.py --profile bench`` (or ``python
+jobs/table02_main.py``) prints the paper-vs-measured rows. No install
+or ``PYTHONPATH`` is needed: this module puts ``src/`` on the path, and
+``repro.spark.session()`` puts it on the Python workers'. Every
+invocation runs its AL configurations live; within one process a
+configuration shared by several tables runs once.
 """
 from __future__ import annotations
 
@@ -12,24 +14,8 @@ import argparse
 import os
 import sys
 
-
-def build_spark():
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g --conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    spark = (
-        SparkSession.builder.appName("dial-repro")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("ERROR")
-    return spark
+sys.path.insert(0, os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src")))
+from repro.spark import session  # noqa: E402
 
 
 def run_table(table_no: int, argv=None) -> dict:
@@ -41,7 +27,7 @@ def run_table(table_no: int, argv=None) -> dict:
     from repro.exp.runner import Runner
     from repro.exp.tables import TABLES, format_table
 
-    spark = build_spark()
+    spark = session()
     try:
         runner = Runner(spark, profile=args.profile, seed=args.seed)
         result = TABLES[table_no](runner)

@@ -12,7 +12,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-from _common import build_spark
+from _common import session
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
     from repro.exp.report import all_tables_markdown
     from repro.exp.runner import Runner
 
-    spark = build_spark()
+    spark = session()
     try:
         runner = Runner(spark, profile=args.profile, seed=args.seed)
         parts = all_tables_markdown(runner)

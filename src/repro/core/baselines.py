@@ -71,7 +71,7 @@ def run_rf_qbc(
 ) -> ALResult:
     """Random-Forest AL with QBC selection on the Rules candidate set."""
     if store is None:
-        store = EmbeddingStore(spark, ds, cfg.d)
+        store = EmbeddingStore(ds, cfg.d)
     featurizer = PairFeaturizer(
         ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
     )

@@ -188,7 +188,7 @@ def _train_matcher(store, T: pd.DataFrame, cfg: ALConfig, rnd: int) -> list[Matc
 
 
 def _member_embeddings(
-    spark, store, matcher, T, cfg: ALConfig, rnd: int
+    store, matcher, T, cfg: ALConfig, rnd: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-member embedding matrices of R and S for this round's blocking
     mode. Single-member list for the non-committee baselines."""
@@ -216,17 +216,13 @@ def _member_embeddings(
         cfg.d, n_members=cfg.committee_size, mask_p=cfg.mask_p,
         seed=cfg.seed * 100 + rnd,
     )
-    Tp = T[T.label == 1]
     Tn = T[T.label == 0]
-    zp_r = matcher.transform(store.r_emb[[store.r_index[r] for r in Tp.rid_r]])
-    zp_s = matcher.transform(store.s_emb[[store.s_index[s] for s in Tp.rid_s]])
+    pos_pairs = tuple(map(matcher.transform, store.pair_embs(T[T.label == 1])))
     neg_pairs = None
     if cfg.blocker_negatives == "labeled" and len(Tn):
-        zn_r = matcher.transform(store.r_emb[[store.r_index[r] for r in Tn.rid_r]])
-        zn_s = matcher.transform(store.s_emb[[store.s_index[s] for s in Tn.rid_s]])
-        neg_pairs = (zn_r, zn_s)
+        neg_pairs = tuple(map(matcher.transform, store.pair_embs(Tn)))
     blocker.fit(
-        (zp_r, zp_s), z_r, z_s,
+        pos_pairs, z_r, z_s,
         neg_pairs=neg_pairs,
         objective=cfg.blocker_objective,
         negatives=cfg.blocker_negatives,
@@ -369,7 +365,7 @@ def run_al(
     across the many configurations the tables sweep."""
     assert cfg.blocking in BLOCKING_MODES, cfg.blocking
     if store is None:
-        store = EmbeddingStore(spark, ds, cfg.d)
+        store = EmbeddingStore(ds, cfg.d)
     if cfg.blocking == "rules":
         assert rules_cand is not None, "rules blocking needs a rules_cand DataFrame"
     else:
@@ -385,7 +381,7 @@ def run_al(
         members = None
         t0 = time.perf_counter()
         if cfg.blocking != "rules" and (rnd == 0 or cfg.blocking != "paired_fixed"):
-            members = _member_embeddings(spark, store, matchers[0], T, cfg, rnd)
+            members = _member_embeddings(store, matchers[0], T, cfg, rnd)
         times["train_committee"] = time.perf_counter() - t0 if members is not None else 0.0
         return [m.params() for m in matchers], members
 

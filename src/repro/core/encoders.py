@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
 from repro.text.features import shared_lm
@@ -55,12 +55,11 @@ class EmbeddingStore:
     """Per-dataset cache: base embeddings of R and S + rid lookups.
 
     Embedding matrices are small (n x d doubles, a few MB) so they live
-    on the driver and are broadcast into scoring/retrieval UDFs; the
-    *computation* of the embeddings is the distributed part.
+    on the driver; ``score_pairs`` broadcasts the store itself into its
+    UDF. The *computation* of the embeddings is the distributed part.
     """
 
-    def __init__(self, spark: SparkSession, ds, d: int):
-        self.spark = spark
+    def __init__(self, ds, d: int):
         self.d = d
         self.r_rids = ds.r_pdf.rid.tolist()
         self.s_rids = ds.s_pdf.rid.tolist()

@@ -151,9 +151,9 @@ def score_pairs(
     ``params_list`` (the QBC committee, or the variance-reduction
     ensemble): this is the committee-based scoring UDF over partitioned
     pair data. With ``average=True`` the member probabilities are
-    averaged inside the UDF into a single ``prob`` column. Embeddings,
-    texts and all member parameters ride one broadcast; each task takes
-    its worker's warm ``shared_lm``. The plan is lazy (no Spark job
+    averaged inside the UDF into a single ``prob`` column. The store and
+    all member parameters ride one broadcast; each task takes its
+    worker's warm ``shared_lm``. The plan is lazy (no Spark job
     runs here) and spreads the pairs round-robin over
     ``defaultParallelism`` partitions, which fixes the row order of
     the result. The broadcast is tied to the result
@@ -167,33 +167,19 @@ def score_pairs(
         pairs.schema.fields + [T.StructField(c, T.DoubleType()) for c in out_cols]
     )
     sc = spark.sparkContext
-    b = sc.broadcast(
-        {
-            "r_emb": store.r_emb,
-            "s_emb": store.s_emb,
-            "r_index": store.r_index,
-            "s_index": store.s_index,
-            "r_texts": store.r_texts,
-            "s_texts": store.s_texts,
-            "params": params_list,
-            "d": store.d,
-        }
-    )
+    b = sc.broadcast((store, params_list))
 
     def part(batches):
-        state = b.value
-        lm = shared_lm(state["d"])
+        store, params_list = b.value
+        lm = shared_lm(store.d)
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            er = state["r_emb"][[state["r_index"][r] for r in pdf.rid_r]]
-            es = state["s_emb"][[state["s_index"][s] for s in pdf.rid_s]]
-            align = alignment_features_batch(
-                lm,
-                [state["r_texts"][r] for r in pdf.rid_r],
-                [state["s_texts"][s] for s in pdf.rid_s],
-            )
-            probs = [predict_from_params(p, er, es, align)[0] for p in state["params"]]
+            er, es = store.pair_embs(pdf)
+            # pair_align_features's body: perfbench's tracer wraps that
+            # function on the driver, and the UDF would pickle the wrapper
+            align = alignment_features_batch(lm, *store.pair_texts(pdf))
+            probs = [predict_from_params(p, er, es, align)[0] for p in params_list]
             if average:
                 pdf["prob"] = np.mean(probs, axis=0)
             else:

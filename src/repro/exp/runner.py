@@ -53,7 +53,7 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     non-duplicates via gold, and sample the labeled seed set and the
     test set from disjoint halves. Mutates ``ds`` in place.
     """
-    store = EmbeddingStore(spark, ds, d)
+    store = EmbeddingStore(ds, d)
     idx, dist = knn_numpy(l2_normalize(store.s_emb), l2_normalize(store.r_emb), 3)
     pairs = []
     for si in range(len(store.s_rids)):
@@ -109,9 +109,7 @@ class Runner:
 
     def store(self, name: str) -> EmbeddingStore:
         if name not in self._stores:
-            self._stores[name] = EmbeddingStore(
-                self.spark, self.dataset(name), self.config(name).d
-            )
+            self._stores[name] = EmbeddingStore(self.dataset(name), self.config(name).d)
         return self._stores[name]
 
     def rules(self, name: str):
