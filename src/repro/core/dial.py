@@ -170,35 +170,39 @@ def _resolve_cand_size(cfg: ALConfig, ds) -> int:
     return cand_size_for(ds.name, n_s, cfg.cand_size)
 
 
-def _train_matcher(store, T: pd.DataFrame, cfg: ALConfig, rnd: int) -> list[Matcher]:
-    """Fresh (no warm start, §4.2) ensemble of matchers for this round."""
+def _train_matcher(
+    store, T: pd.DataFrame, cfg: ALConfig, rnd: int
+) -> tuple[list[Matcher], list[list[float]]]:
+    """Fresh (no warm start, §4.2) ensemble of matchers for this round,
+    and each member's per-epoch loss trace."""
     er, es = store.pair_embs(T)
     align = pair_align_features(store, T)
     y = T.label.to_numpy().astype(float)
-    matchers = []
+    matchers, traces = [], []
     for i in range(max(1, cfg.matcher_ensemble)):
         m = Matcher(cfg.d, hidden=cfg.matcher_hidden, seed=cfg.seed + 37 * i)
-        m.fit(
+        traces.append(m.fit(
             er, es, align, y,
             epochs=cfg.matcher_epochs, batch_size=cfg.batch_size,
             seed=cfg.seed * 100 + rnd + 7 * i,
-        )
+        ))
         matchers.append(m)
-    return matchers
+    return matchers, traces
 
 
 def _member_embeddings(
     store, matcher, T, cfg: ALConfig, rnd: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray], list[float] | None]:
     """Per-member embedding matrices of R and S for this round's blocking
-    mode. Single-member list for the non-committee baselines."""
+    mode (a single-member list for the non-committee baselines), and the
+    committee's member-0 loss trace (None outside ``dial`` mode)."""
     mode = cfg.blocking
     if mode == "paired_fixed":
-        return [l2_normalize(store.r_emb)], [l2_normalize(store.s_emb)]
+        return [l2_normalize(store.r_emb)], [l2_normalize(store.s_emb)], None
     z_r = matcher.transform(store.r_emb)
     z_s = matcher.transform(store.s_emb)
     if mode == "paired_adapt":
-        return [l2_normalize(z_r)], [l2_normalize(z_s)]
+        return [l2_normalize(z_r)], [l2_normalize(z_s)], None
     if mode == "sentencebert":
         sb = _SBertBlocker(cfg.d, seed=cfg.seed)
         er, es = store.pair_embs(T)
@@ -210,6 +214,7 @@ def _member_embeddings(
         return (
             [l2_normalize(sb.transform(store.r_emb))],
             [l2_normalize(sb.transform(store.s_emb))],
+            None,
         )
     # mode == "dial": committee over frozen adapted embeddings (Eq 7/8)
     blocker = Blocker(
@@ -221,7 +226,7 @@ def _member_embeddings(
     neg_pairs = None
     if cfg.blocker_negatives == "labeled" and len(Tn):
         neg_pairs = tuple(map(matcher.transform, store.pair_embs(Tn)))
-    blocker.fit(
+    trace = blocker.fit(
         pos_pairs, z_r, z_s,
         neg_pairs=neg_pairs,
         objective=cfg.blocker_objective,
@@ -234,6 +239,7 @@ def _member_embeddings(
     return (
         [member_embed(p, z_r) for p in members],
         [member_embed(p, z_s) for p in members],
+        trace,
     )
 
 
@@ -373,16 +379,19 @@ def run_al(
     cand_size = _resolve_cand_size(cfg, ds)
     k = cfg.knn_k if cfg.knn_k is not None else knn_k_for(ds.name)
 
+    losses = []  # per round: the loss traces, added to its history entry
+
     def train(rnd, T, times):
         t0 = time.perf_counter()
-        matchers = _train_matcher(store, T, cfg, rnd)
+        matchers, matcher_traces = _train_matcher(store, T, cfg, rnd)
         times["train_matcher"] = time.perf_counter() - t0
         # the Rules CAND is given and the paired_fixed CAND never changes
-        members = None
+        members, committee_trace = None, None
         t0 = time.perf_counter()
         if cfg.blocking != "rules" and (rnd == 0 or cfg.blocking != "paired_fixed"):
-            members = _member_embeddings(store, matchers[0], T, cfg, rnd)
+            *members, committee_trace = _member_embeddings(store, matchers[0], T, cfg, rnd)
         times["train_committee"] = time.perf_counter() - t0 if members is not None else 0.0
+        losses.append({"matcher": matcher_traces, "committee": committee_trace})
         return [m.params() for m in matchers], members
 
     def block(model):
@@ -402,7 +411,7 @@ def run_al(
             ),
         )
 
-    return _run_rounds(
+    result = _run_rounds(
         ds, cfg, asdict(cfg),
         train=train,
         block=block,
@@ -410,3 +419,6 @@ def run_al(
         pick=pick,
         cand=rules_cand,
     )
+    for h, loss in zip(result.history, losses):
+        h["loss"] = loss
+    return result

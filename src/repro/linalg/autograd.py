@@ -118,10 +118,15 @@ class Tensor:
         return self._make(self.data @ o.data, (self, o), bwd)
 
     def pow(self, p: float):
+        """``x ** p``. ndarray's ``**`` squares for ``p = 2`` and copies for
+        ``p = 1``, so ``pow(2)`` is exactly ``x * x`` and its gradient
+        exactly ``g * 2 * x``; ``np.power(x, 2.0)`` is far slower and can
+        differ from ``x * x`` in the last bit. Other exponents go through
+        ``np.power``."""
         def bwd(g):
-            return (g * p * np.power(self.data, p - 1),)
+            return (g * p * self.data ** (p - 1),)
 
-        return self._make(np.power(self.data, p), (self,), bwd)
+        return self._make(self.data ** p, (self,), bwd)
 
     # -- nonlinearities ----------------------------------------------------
     def tanh(self):
@@ -214,6 +219,12 @@ class Tensor:
 
     # -- backward ----------------------------------------------------------
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every ``param`` leaf's ``grad``.
+
+        Nothing of the pass outlives it: ``visit`` refers to itself, so it
+        is deleted once the sort is done, and each step's graph is freed
+        by reference counting instead of waiting for the cyclic GC.
+        """
         assert self.data.size == 1, "backward() requires a scalar loss"
         topo, seen = [], set()
 
@@ -226,6 +237,7 @@ class Tensor:
             topo.append(t)
 
         visit(self)
+        del visit  # break the closure's self-reference
         grads = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
             g = grads.pop(id(t), None)

@@ -4,12 +4,16 @@ Every op is checked against central finite differences; composite
 graphs (the actual model shapes) are checked too. A wrong gradient here
 silently corrupts every experiment, so these are exhaustive.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg.autograd import Tensor, const, param
+from repro.linalg.losses import contrastive_loss
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -157,6 +161,38 @@ def test_grad_accumulates_across_backwards():
     g1 = p.grad.copy()
     p.pow(2).sum().backward()
     np.testing.assert_allclose(p.grad, 2 * g1)
+
+
+def test_pow2_is_exactly_x_times_x():
+    """pow(2) is bit for bit ``x * x``, and its gradient ``g * 2 * x``,
+    over negatives, tiny and large magnitudes."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 192)) * np.logspace(-150, 150, 192)
+    g = rng.standard_normal(x.shape)
+    t = param(x)
+    y = t.pow(2)
+    (y * const(g)).sum().backward()
+    assert np.array_equal(y.data, x * x)
+    assert np.array_equal(t.grad, g * 2 * x)
+
+
+def test_backward_frees_the_graph_without_the_gc():
+    """Once the loss is dropped after backward(), reference counting
+    frees the whole graph: no cycle is left for the collector."""
+    rng = np.random.default_rng(0)
+    leaves = [param(rng.standard_normal((8, 6))) for _ in range(4)]
+    gc.disable()
+    try:
+        gc.collect()
+        loss = contrastive_loss(*leaves, tau=0.5)
+        loss.backward()
+        out = weakref.ref(loss.data)
+        del loss
+        assert out() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(p.grad is not None for p in leaves)
 
 
 def test_logsumexp_matches_numpy():

@@ -1,4 +1,5 @@
 """End-to-end Algorithm-1 loop integration tests (test profile)."""
+import json
 import os
 import signal
 from dataclasses import replace
@@ -41,6 +42,25 @@ def test_every_round_times_evaluation(runner):
         assert len(res["history"]) == runner.base_cfg["rounds"]
         for h in res["history"]:
             assert h["times"]["evaluate"] > 0
+
+
+def test_rounds_record_loss_traces(runner):
+    """Every DIAL round keeps the per-epoch loss trace of each matcher of
+    its ensemble and of committee member 0; outside ``dial`` mode there
+    is no committee trace."""
+    res = runner.al_result("walmart_amazon", blocking="dial")
+    cfg = res["config"]
+    json.dumps(res["history"])
+    for h in res["history"]:
+        matcher, committee = h["loss"]["matcher"], h["loss"]["committee"]
+        assert len(matcher) == cfg["matcher_ensemble"]
+        for trace, epochs in [(t, cfg["matcher_epochs"]) for t in matcher] + [
+            (committee, cfg["blocker_epochs"])
+        ]:
+            assert len(trace) == epochs
+            assert np.isfinite(trace).all()
+    for h in runner.al_result("walmart_amazon", blocking="paired_adapt")["history"]:
+        assert h["loss"]["committee"] is None
 
 
 def test_labels_grow_by_budget(runner):
