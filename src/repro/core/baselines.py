@@ -67,7 +67,6 @@ def run_rf_qbc(
     rules_cand_df: DataFrame,
     *,
     store: EmbeddingStore | None = None,
-    n_trees: int = 20,
 ) -> ALResult:
     """Random-Forest AL with QBC selection on the Rules candidate set."""
     if store is None:
@@ -78,7 +77,7 @@ def run_rf_qbc(
 
     def train(rnd, T_lab, times):
         t0 = time.perf_counter()
-        forest = RandomForest(n_trees=n_trees, seed=cfg.seed * 100 + rnd).fit(
+        forest = RandomForest(seed=cfg.seed * 100 + rnd).fit(
             featurizer(T_lab), T_lab.label.to_numpy()
         )
         times["train_matcher"] = time.perf_counter() - t0

@@ -29,7 +29,14 @@ from repro.linalg.losses import (
     distance_classification_loss,
     triplet_loss,
 )
-from repro.linalg.optim import AdamW
+from repro.linalg.optim import BATCH_SIZE, AdamW
+
+# Rank of each member's trained deviation A_k @ B_k from its identity-ish
+# base (the paper trains full d x d heads; see DESIGN.md §5).
+RANK = 16
+# Mask keep-prob: the paper keeps p=0.5 of 768 dims (384 kept); at d=192
+# that is far more destructive, so 0.9 keeps ~173 dims (DESIGN.md §5).
+MASK_P = 0.9
 
 
 @dataclass
@@ -62,13 +69,11 @@ class Blocker:
         self,
         d: int,
         n_members: int = 3,
-        mask_p: float = 0.5,
-        rank: int | None = 16,
+        mask_p: float = MASK_P,
         seed: int = 0,
     ):
         self.d = d
         self.n_members = n_members
-        self.mask_p = mask_p
         # temperature for exp(-||u-v||^2 / tau). The paper uses tau=1 at
         # d=768 with transformer-scale embeddings; our hashed embeddings
         # have much smaller norms, so tau is estimated at the first fit
@@ -102,14 +107,12 @@ class Blocker:
         # *systematic* representation divergence (boilerplate subspace,
         # dominant synonym directions), which is what generalizes to the
         # unseen duplicates the blocker exists to recall.
-        self.rank = rank if rank is not None else d
-        r = self.rank
         self.As = [
-            param(rng.standard_normal((d + 1, r)) * (0.3 / np.sqrt(d)))
+            param(rng.standard_normal((d + 1, RANK)) * (0.3 / np.sqrt(d)))
             for _ in range(n_members)
         ]
         self.Bs = [
-            param(rng.standard_normal((r, d)) * (0.3 / np.sqrt(r)))
+            param(rng.standard_normal((RANK, d)) * (0.3 / np.sqrt(RANK)))
             for _ in range(n_members)
         ]
         # trainable scalars for the classification-objective ablation
@@ -130,9 +133,6 @@ class Blocker:
             for m, u0, a, b in zip(self.masks, self.U0s, self.As, self.Bs)
         ]
 
-    def embed(self, k: int, z: np.ndarray) -> np.ndarray:
-        return member_embed(self.member_params()[k], z)
-
     # -- training ----------------------------------------------------------
     def fit(
         self,
@@ -144,7 +144,6 @@ class Blocker:
         objective: str = "contrastive",
         negatives: str = "random",
         epochs: int = 60,
-        batch_size: int = 16,
         seed: int = 0,
     ) -> list[float]:
         """Train every member; returns per-epoch mean loss of member 0.
@@ -171,7 +170,7 @@ class Blocker:
                 if objective == "classification"
                 else []
             )
-            steps = max(1, (n_pos + batch_size - 1) // batch_size) * epochs
+            steps = max(1, (n_pos + BATCH_SIZE - 1) // BATCH_SIZE) * epochs
             # weight decay acts on the deviation factors A_k, B_k
             opt = AdamW(
                 [([self.As[k], self.Bs[k]] + extra, 1e-3)],
@@ -182,8 +181,8 @@ class Blocker:
             for _ in range(epochs):
                 order = rng.permutation(n_pos)
                 losses = []
-                for b0 in range(0, n_pos, batch_size):
-                    idx = order[b0 : b0 + batch_size]
+                for b0 in range(0, n_pos, BATCH_SIZE):
+                    idx = order[b0 : b0 + BATCH_SIZE]
                     b = len(idx)
                     if negatives == "random":
                         # each member shuffles its own fresh random records
@@ -220,9 +219,7 @@ class Blocker:
         n = min(256, len(z_r_pool), len(z_s_pool))
         i = rng.integers(0, len(z_r_pool), n)
         j = rng.integers(0, len(z_s_pool), n)
-        p = MemberParams(
-            mask=self.masks[0], U=self.U0s[0] + self.As[0].data @ self.Bs[0].data
-        )
+        p = self.member_params()[0]
         er = member_embed(p, z_r_pool[i])
         es = member_embed(p, z_s_pool[j])
         med = float(np.median(((er - es) ** 2).sum(axis=1)))
@@ -236,7 +233,7 @@ class Blocker:
         if objective == "contrastive":
             return contrastive_loss(er_p, es_p, er_n, es_n, tau=self.tau)
         if objective == "triplet":
-            return triplet_loss(er_p, es_p, er_n, es_n, margin=1.0)
+            return triplet_loss(er_p, es_p, er_n, es_n)
         return distance_classification_loss(
             er_p,
             es_p,

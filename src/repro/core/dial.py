@@ -43,7 +43,7 @@ from repro.core.matcher import Matcher, pair_align_features, score_pairs
 from repro.core.selectors import select
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits
-from repro.linalg.optim import AdamW
+from repro.linalg.optim import BATCH_SIZE, AdamW
 from repro.spark import release
 
 BLOCKING_MODES = ("dial", "paired_fixed", "paired_adapt", "sentencebert", "rules")
@@ -59,19 +59,12 @@ class ALConfig:
     seed_pos: int = 24  # |T_p| seed (64)
     seed_neg: int = 24  # |T_n| seed (64)
     committee_size: int = 3  # N (3)
-    # masking keep-prob: the paper keeps p=0.5 of 768 dims (384 kept);
-    # at d=192 the same keep-prob is far more destructive, so we scale
-    # the knob to keep ~90% (173 dims) — see DESIGN.md §5
-    mask_p: float = 0.9
     cand_size: str | int = "default"  # |CAND| rule (§4.2 / Table 6)
-    knn_k: int | None = None  # neighbours k (3; 20 for Abt-Buy)
     selector: str = "uncertainty"
     blocker_objective: str = "contrastive"  # Table 5 ablation knob
     blocker_negatives: str = "random"  # Table 4 ablation knob
     matcher_epochs: int = 20  # (20)
     blocker_epochs: int = 40  # (200; our rank-limited heads need fewer)
-    batch_size: int = 16  # (16)
-    matcher_hidden: int = 64
     # variance-reduction ensemble: K differently-seeded matchers trained
     # per round, probabilities averaged. The paper averages whole runs
     # over 3 random seed sets (§4.2); at our model scale per-round
@@ -83,13 +76,12 @@ class ALConfig:
 
 @dataclass
 class ALResult:
-    """History of per-round metrics + final summary + last-round timings."""
+    """History of per-round metrics and timings + final summary."""
 
     config: dict
     dataset: str
     history: list[dict] = field(default_factory=list)
     final: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
 
 class _SBertBlocker:
@@ -105,17 +97,17 @@ class _SBertBlocker:
         self.w = param(rng.standard_normal((3 * d, 1)) * np.sqrt(1.0 / (3 * d)))
         self.b = param(np.zeros(1))
 
-    def fit(self, er, es, labels, *, epochs=15, batch_size=16, lr=3e-3, seed=0):
+    def fit(self, er, es, labels, *, epochs, seed):
         n = len(labels)
         opt = AdamW(
-            [([self.B], 3e-4), ([self.w, self.b], lr)],
-            total_steps=epochs * max(1, (n + batch_size - 1) // batch_size),
+            [([self.B], 3e-4), ([self.w, self.b], 3e-3)],
+            total_steps=epochs * max(1, (n + BATCH_SIZE - 1) // BATCH_SIZE),
         )
         rng = np.random.default_rng(seed)
         for _ in range(epochs):
             order = rng.permutation(n)
-            for b0 in range(0, n, batch_size):
-                idx = order[b0 : b0 + batch_size]
+            for b0 in range(0, n, BATCH_SIZE):
+                idx = order[b0 : b0 + BATCH_SIZE]
                 u = const(er[idx]) @ self.B
                 v = const(es[idx]) @ self.B
                 f = Tensor.concat([u, v, (u - v).abs()], axis=1)
@@ -180,11 +172,9 @@ def _train_matcher(
     y = T.label.to_numpy().astype(float)
     matchers, traces = [], []
     for i in range(max(1, cfg.matcher_ensemble)):
-        m = Matcher(cfg.d, hidden=cfg.matcher_hidden, seed=cfg.seed + 37 * i)
+        m = Matcher(cfg.d, seed=cfg.seed + 37 * i)
         traces.append(m.fit(
-            er, es, align, y,
-            epochs=cfg.matcher_epochs, batch_size=cfg.batch_size,
-            seed=cfg.seed * 100 + rnd + 7 * i,
+            er, es, align, y, epochs=cfg.matcher_epochs, seed=cfg.seed * 100 + rnd + 7 * i
         ))
         matchers.append(m)
     return matchers, traces
@@ -208,8 +198,7 @@ def _member_embeddings(
         er, es = store.pair_embs(T)
         sb.fit(
             er, es, T.label.to_numpy().astype(float),
-            epochs=cfg.matcher_epochs, batch_size=cfg.batch_size,
-            seed=cfg.seed * 100 + rnd,
+            epochs=cfg.matcher_epochs, seed=cfg.seed * 100 + rnd,
         )
         return (
             [l2_normalize(sb.transform(store.r_emb))],
@@ -217,10 +206,7 @@ def _member_embeddings(
             None,
         )
     # mode == "dial": committee over frozen adapted embeddings (Eq 7/8)
-    blocker = Blocker(
-        cfg.d, n_members=cfg.committee_size, mask_p=cfg.mask_p,
-        seed=cfg.seed * 100 + rnd,
-    )
+    blocker = Blocker(cfg.d, n_members=cfg.committee_size, seed=cfg.seed * 100 + rnd)
     Tn = T[T.label == 0]
     pos_pairs = tuple(map(matcher.transform, store.pair_embs(T[T.label == 1])))
     neg_pairs = None
@@ -232,7 +218,6 @@ def _member_embeddings(
         objective=cfg.blocker_objective,
         negatives=cfg.blocker_negatives,
         epochs=cfg.blocker_epochs,
-        batch_size=cfg.batch_size,
         seed=cfg.seed * 100 + rnd,
     )
     members = blocker.member_params()
@@ -316,7 +301,7 @@ def _run_rounds(
             t0 = time.perf_counter()
             cand_rec = blocker_recall(cand, ds.dups)
             ap = all_pairs_prf(scored, ds.dups)
-            tp = test_prf(ds.test, scored, threshold=0.5)
+            tp = test_prf(ds.test, scored)
             times["evaluate"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -342,7 +327,6 @@ def _run_rounds(
                     "times": times,
                 }
             )
-            result.timings = times
             # RT of Table 2/10: blocking + matching time for the final verdict
             result.final = {
                 "cand_recall": cand_rec,
@@ -377,7 +361,7 @@ def run_al(
     else:
         rules_cand = None
     cand_size = _resolve_cand_size(cfg, ds)
-    k = cfg.knn_k if cfg.knn_k is not None else knn_k_for(ds.name)
+    k = knn_k_for(ds.name)
 
     losses = []  # per round: the loss traces, added to its history entry
 
@@ -401,14 +385,14 @@ def run_al(
         return retrieve_cand(spark, store.r_rids, store.s_rids, *members, k, cand_size)
 
     def pick(selectable, T, cand, model, rng):
+        # in pair order, so that no pick follows CAND's row order, which
+        # moves with float ties among distances and with the core count
+        selectable = selectable.sort_values(["rid_r", "rid_s"], ignore_index=True)
         return select(
             cfg.selector, selectable, cfg.budget, rng,
             spark=spark, store=store, cand_df=cand,
             labeled=T, matcher_params=model[0][0],
-            matcher_kwargs=dict(
-                epochs=max(5, cfg.matcher_epochs // 2),
-                batch_size=cfg.batch_size,
-            ),
+            matcher_epochs=max(5, cfg.matcher_epochs // 2),
         )
 
     result = _run_rounds(

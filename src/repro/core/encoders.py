@@ -26,7 +26,7 @@ _ENC_SCHEMA = T.StructType(
 )
 
 
-def encode_records(spark_df: DataFrame, d: int, text_col: str = "text") -> DataFrame:
+def encode_records(spark_df: DataFrame, d: int) -> DataFrame:
     """DataFrame(rid, text, ...) → DataFrame(rid, emb) via mapInPandas."""
 
     def part(batches):
@@ -34,7 +34,7 @@ def encode_records(spark_df: DataFrame, d: int, text_col: str = "text") -> DataF
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            embs = lm.encode_batch(pdf[text_col].tolist())
+            embs = lm.encode_batch(pdf["text"].tolist())
             yield pd.DataFrame({"rid": pdf["rid"].values, "emb": list(embs)})
 
     return spark_df.mapInPandas(part, schema=_ENC_SCHEMA)

@@ -2,7 +2,8 @@
 
 - blocker recall: |CAND ∩ DUPS| / |DUPS|
 - all-pairs P/R/F1: predicted dups = {(r,s) ∈ CAND : P(dup) > 0.5}
-  against the gold DUPS list
+  against the gold DUPS list (``predicted_prf`` scores any set of
+  predicted pairs, such as JedAI's)
 - test P/R/F1: same predictions restricted to the labeled test pairs
   (a pair not retrieved in CAND is predicted non-dup), read from the
   scored CAND: D_test is never scored on its own
@@ -18,6 +19,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 _PAIR = ["rid_r", "rid_s"]
+THRESHOLD = 0.5  # a pair is predicted duplicate iff P(dup) > 0.5 (§4.1)
 
 
 def _prf(tp: int, n_pred: int, n_gold: int) -> dict:
@@ -51,11 +53,10 @@ def blocker_recall(cand: DataFrame, dups: DataFrame) -> float:
     return 100.0 * s["hit"] / s["gold"] if s["gold"] else 0.0
 
 
-def all_pairs_prf(scored_cand: DataFrame, dups: DataFrame, threshold: float = 0.5) -> dict:
-    """P/R/F1 of {cand pairs with prob>threshold} vs the gold DUPS."""
+def predicted_prf(pred: DataFrame, dups: DataFrame) -> dict:
+    """P/R/F1 of the predicted duplicate pairs ``pred`` vs the gold DUPS."""
     pred = (
-        scored_cand.filter(F.col("prob") > threshold)
-        .select(_PAIR)
+        pred.select(_PAIR)
         .join(_flagged(dups, "gold"), _PAIR, "left")
         .select(F.lit(1).alias("pred"), _is_set("gold").alias("tp"), F.lit(0).alias("gold"))
     )
@@ -64,7 +65,12 @@ def all_pairs_prf(scored_cand: DataFrame, dups: DataFrame, threshold: float = 0.
     return _prf(s["tp"], s["pred"], s["gold"])
 
 
-def test_prf(test: DataFrame, scored_cand: DataFrame, threshold: float = 0.5) -> dict:
+def all_pairs_prf(scored_cand: DataFrame, dups: DataFrame) -> dict:
+    """P/R/F1 of {cand pairs with prob > 0.5} vs the gold DUPS."""
+    return predicted_prf(scored_cand.filter(F.col("prob") > THRESHOLD), dups)
+
+
+def test_prf(test: DataFrame, scored_cand: DataFrame) -> dict:
     """P/R/F1 on the labeled test pairs.
 
     A test pair is predicted duplicate iff it is in CAND *and* its
@@ -74,7 +80,7 @@ def test_prf(test: DataFrame, scored_cand: DataFrame, threshold: float = 0.5) ->
     probability is read from ``scored_cand``.
     """
     probs = F.broadcast(scored_cand.select(*_PAIR, "prob"))
-    pred = F.coalesce((F.col("prob") > threshold).cast("int"), F.lit(0))
+    pred = F.coalesce((F.col("prob") > THRESHOLD).cast("int"), F.lit(0))
     s = _sums(
         test.join(probs, _PAIR, "left"),
         tp=pred * F.col("label"), pred=pred, gold=F.col("label"),

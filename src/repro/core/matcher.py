@@ -27,27 +27,29 @@ from pyspark.sql import types as T
 
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits, class_balance_weights
-from repro.linalg.optim import AdamW
+from repro.linalg.optim import BATCH_SIZE, AdamW
 from repro.spark import with_broadcasts
 from repro.text.features import HashedLM, N_ALIGN_FEATURES, alignment_features_batch, shared_lm
 
 N_ALIGN = N_ALIGN_FEATURES
+HIDDEN = 64  # hidden width of the head F_W (TPLM-sized, 768, in the paper)
+LR_BACKBONE = 1e-4  # AdamW learning rate of the backbone A (3e-5 for RoBERTa)
+LR_HEAD = 3e-3  # ... and of the head F_W (1e-3)
 
 
 class Matcher:
     """Paired-mode matcher with trainable backbone + MLP head."""
 
-    def __init__(self, d: int, hidden: int = 64, seed: int = 0):
+    def __init__(self, d: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.d = d
-        self.hidden = hidden
         n_feat = 2 * d + N_ALIGN
         # identity init: before any training, adapted embeddings ~= base
         # (noise scaled 1/sqrt(d) so the perturbation stays ~1% of ||E||)
         self.A = param(np.eye(d) + (0.1 / np.sqrt(d)) * rng.standard_normal((d, d)))
-        self.W1 = param(rng.standard_normal((n_feat, hidden)) * np.sqrt(2.0 / n_feat))
-        self.b1 = param(np.zeros(hidden))
-        self.W2 = param(rng.standard_normal((hidden, 1)) * np.sqrt(2.0 / hidden))
+        self.W1 = param(rng.standard_normal((n_feat, HIDDEN)) * np.sqrt(2.0 / n_feat))
+        self.b1 = param(np.zeros(HIDDEN))
+        self.W2 = param(rng.standard_normal((HIDDEN, 1)) * np.sqrt(2.0 / HIDDEN))
         self.b2 = param(np.zeros(1))
 
     # -- forward -----------------------------------------------------------
@@ -70,17 +72,14 @@ class Matcher:
         labels: np.ndarray,
         *,
         epochs: int = 20,
-        batch_size: int = 16,
-        lr_backbone: float = 1e-4,
-        lr_head: float = 3e-3,
         seed: int = 0,
     ) -> list[float]:
         """AdamW with per-group LRs and linear decay (§4.2). Returns the
         per-epoch mean loss trace (tests assert it decreases)."""
         n = len(labels)
-        steps_per_epoch = max(1, (n + batch_size - 1) // batch_size)
+        steps_per_epoch = max(1, (n + BATCH_SIZE - 1) // BATCH_SIZE)
         opt = AdamW(
-            [([self.A], lr_backbone), ([self.W1, self.b1, self.W2, self.b2], lr_head)],
+            [([self.A], LR_BACKBONE), ([self.W1, self.b1, self.W2, self.b2], LR_HEAD)],
             total_steps=epochs * steps_per_epoch,
         )
         rng = np.random.default_rng(seed)
@@ -89,8 +88,8 @@ class Matcher:
         for _ in range(epochs):
             order = rng.permutation(n)
             losses = []
-            for b0 in range(0, n, batch_size):
-                idx = order[b0 : b0 + batch_size]
+            for b0 in range(0, n, BATCH_SIZE):
+                idx = order[b0 : b0 + BATCH_SIZE]
                 opt.zero_grad()
                 logits = self.forward(er[idx], es[idx], align[idx])
                 loss = bce_with_logits(logits, labels[idx], weights[idx])
@@ -114,11 +113,6 @@ class Matcher:
     def transform(self, emb: np.ndarray) -> np.ndarray:
         """Matcher-adapted single-mode embeddings E(x) @ A (frozen view)."""
         return emb @ self.A.data
-
-    def predict_proba(
-        self, er: np.ndarray, es: np.ndarray, align: np.ndarray
-    ) -> np.ndarray:
-        return predict_from_params(self.params(), er, es, align)[0]
 
 
 def predict_from_params(

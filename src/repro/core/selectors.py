@@ -26,6 +26,7 @@ from repro.index.kmeans import kmeans_pp_indices
 from repro.spark import release
 
 _EPS = 1e-12
+QBC_COMMITTEE = 3  # bootstrap matchers in the QBC committee (3, as DIAL's N)
 
 
 def entropy(p: np.ndarray) -> np.ndarray:
@@ -38,17 +39,17 @@ def _take(cand: pd.DataFrame, idx) -> pd.DataFrame:
     return cand.iloc[idx][["rid_r", "rid_s"]].reset_index(drop=True)
 
 
-def select_uncertainty(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
+def select_uncertainty(cand: pd.DataFrame, budget: int, rng, **_) -> pd.DataFrame:
     h = entropy(cand.prob.to_numpy())
     return _take(cand, np.argsort(-h, kind="stable")[:budget])
 
 
-def select_random(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
+def select_random(cand: pd.DataFrame, budget: int, rng, **_) -> pd.DataFrame:
     idx = rng.permutation(len(cand))[:budget]
     return _take(cand, idx)
 
 
-def select_greedy(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
+def select_greedy(cand: pd.DataFrame, budget: int, rng, **_) -> pd.DataFrame:
     """Most similar pairs: negative L2 distance as similarity (§4.7)."""
     return _take(cand, np.argsort(cand.dist.to_numpy(), kind="stable")[:budget])
 
@@ -68,7 +69,7 @@ def _partition_sets(cand: pd.DataFrame) -> dict[str, np.ndarray]:
     }
 
 
-def select_partition2(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
+def select_partition2(cand: pd.DataFrame, budget: int, rng, **_) -> pd.DataFrame:
     q = _partition_sets(cand)
     half = budget // 2
     idx = np.concatenate([q["p_lc"][:half], q["n_lc"][: budget - half]])
@@ -79,7 +80,7 @@ def select_partition2(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
     return _take(cand, pd.unique(idx)[:budget])
 
 
-def select_partition4(cand: pd.DataFrame, budget: int, rng) -> pd.DataFrame:
+def select_partition4(cand: pd.DataFrame, budget: int, rng, **_) -> pd.DataFrame:
     q = _partition_sets(cand)
     quarter = max(1, budget // 4)
     parts = [q["p_hc"][:quarter], q["p_lc"][:quarter], q["n_hc"][:quarter], q["n_lc"][:quarter]]
@@ -101,8 +102,8 @@ def select_qbc(
     store,
     cand_df,
     labeled: pd.DataFrame,
-    matcher_kwargs: dict,
-    committee_size: int = 3,
+    matcher_epochs: int,
+    **_,
 ) -> pd.DataFrame:
     """Bootstrap a committee of matchers (Mozafari et al., §2.3.1) and
     pick the pairs with the highest soft disagreement H(mean_k P_k).
@@ -115,22 +116,22 @@ def select_qbc(
     er_all, es_all = store.pair_embs(labeled)
     align_all = pair_align_features(store, labeled)
     y_all = labeled.label.to_numpy()
-    for m in range(committee_size):
+    for m in range(QBC_COMMITTEE):
         boot = rng.integers(0, n, n)  # sample with replacement, same size (§2.3.1)
         mm = Matcher(store.d, seed=1000 + m)
-        mm.fit(er_all[boot], es_all[boot], align_all[boot], y_all[boot], **matcher_kwargs)
+        mm.fit(er_all[boot], es_all[boot], align_all[boot], y_all[boot], epochs=matcher_epochs)
         params_list.append(mm.params())
     scored_df = score_pairs(spark, cand_df.select("rid_r", "rid_s"), store, params_list)
     scored = scored_df.toPandas()
     release(scored_df)
     merged = cand.merge(scored, on=["rid_r", "rid_s"], how="inner")
-    mean_p = merged[[f"prob_{i}" for i in range(committee_size)]].mean(axis=1).to_numpy()
+    mean_p = merged[[f"prob_{i}" for i in range(QBC_COMMITTEE)]].mean(axis=1).to_numpy()
     h = entropy(mean_p)
     return _take(merged, np.argsort(-h, kind="stable")[:budget])
 
 
 def select_badge(
-    cand: pd.DataFrame, budget: int, rng, *, store, matcher_params: dict
+    cand: pd.DataFrame, budget: int, rng, *, store, matcher_params: dict, **_
 ) -> pd.DataFrame:
     """BADGE: k-means++ seeding on output-layer gradient embeddings.
 
@@ -148,41 +149,25 @@ def select_badge(
     return _take(cand, idx)
 
 
-SELECTOR_NAMES = [
-    "uncertainty",
-    "random",
-    "greedy",
-    "partition2",
-    "partition4",
-    "qbc",
-    "badge",
-]
+SELECTORS = {
+    "uncertainty": select_uncertainty,
+    "random": select_random,
+    "greedy": select_greedy,
+    "partition2": select_partition2,
+    "partition4": select_partition4,
+    "qbc": select_qbc,
+    "badge": select_badge,
+}
 
 
 def select(name: str, cand: pd.DataFrame, budget: int, rng, **ctx) -> pd.DataFrame:
-    """Dispatch by strategy name; DIAL is agnostic to the choice (§4.7)."""
+    """Dispatch by strategy name; DIAL is agnostic to the choice (§4.7).
+    ``ctx`` holds what QBC and BADGE need (``spark``, ``store``,
+    ``cand_df``, ``labeled``, ``matcher_epochs``, ``matcher_params``);
+    every selector takes it and ignores the rest."""
+    if name not in SELECTORS:
+        raise ValueError(f"unknown selector {name!r}")
     budget = min(budget, len(cand))
     if budget == 0:
         return cand.head(0)[["rid_r", "rid_s"]]
-    if name == "uncertainty":
-        return select_uncertainty(cand, budget, rng)
-    if name == "random":
-        return select_random(cand, budget, rng)
-    if name == "greedy":
-        return select_greedy(cand, budget, rng)
-    if name == "partition2":
-        return select_partition2(cand, budget, rng)
-    if name == "partition4":
-        return select_partition4(cand, budget, rng)
-    if name == "qbc":
-        return select_qbc(
-            cand, budget, rng,
-            spark=ctx["spark"], store=ctx["store"], cand_df=ctx["cand_df"],
-            labeled=ctx["labeled"], matcher_kwargs=ctx["matcher_kwargs"],
-        )
-    if name == "badge":
-        return select_badge(
-            cand, budget, rng,
-            store=ctx["store"], matcher_params=ctx["matcher_params"],
-        )
-    raise ValueError(f"unknown selector {name!r}")
+    return SELECTORS[name](cand, budget, rng, **ctx)

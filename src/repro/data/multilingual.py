@@ -6,7 +6,7 @@ XML tags, list S their "German" translations, |DUPS| = |R| = |S|.
 
 The translation is a deterministic word-level cipher into procedurally
 generated pseudo-German words, EXCEPT that a fraction of tokens
-(numbers, named entities — ``shared_frac``, default 0.3) pass through
+(numbers, named entities — ``SHARED_FRAC``, 0.3) pass through
 unchanged, exactly as numerals and proper nouns do in real parallel
 corpora. Those shared tokens are what gives the *pretrained* encoder
 (PairedFixed) partial recall — the cipher'd words are what the learned
@@ -28,11 +28,13 @@ ML_SPEC = DatasetSpec(
 )
 
 _TAGS = ["p", "li", "b", "title", "code"]
+VOCAB_SIZE = 400  # English-like word types (the paper's corpus is real text)
+SHARED_FRAC = 0.3  # of the vocabulary passes through untranslated
 
 
 def _cipher(en_words: list[str], shared: set[str], seed: int) -> dict[str, str]:
     """Deterministic EN→pseudo-DE word mapping; shared words map to themselves."""
-    de_words = make_words(len(en_words), seed + 4242, 2, 4)
+    de_words = make_words(len(en_words), seed + 4242, 4)
     return {w: (w if w in shared else d) for w, d in zip(en_words, de_words)}
 
 
@@ -41,25 +43,22 @@ def make_multilingual(
     *,
     scale: float = 0.015,
     seed: int = 0,
-    shared_frac: float = 0.3,
-    vocab_size: int = 400,
-    with_tags: bool = True,
 ) -> ERDataset:
     """Build the EN-"DE" dataset. Default scale 0.015 → 1500 pairs."""
     rng = np.random.default_rng(seed * 977 + 11)
     n = max(8, int(round(ML_SPEC.n_r * scale)))
 
-    words = make_words(vocab_size, seed + 31)
+    words = make_words(VOCAB_SIZE, seed + 31)
     # shared vocabulary: named-entity-ish words + numbers
-    n_shared = int(shared_frac * vocab_size)
-    shared = set(words[:: max(1, vocab_size // max(1, n_shared))][:n_shared])
+    n_shared = int(SHARED_FRAC * VOCAB_SIZE)
+    shared = set(words[:: max(1, VOCAB_SIZE // max(1, n_shared))][:n_shared])
     mapping = _cipher(words, shared, seed)
-    w = zipf_weights(vocab_size)
+    w = zipf_weights(VOCAB_SIZE)
 
     r_rows, s_rows = [], []
     for i in range(n):
         length = int(rng.integers(8, 21))
-        idx = rng.choice(vocab_size, size=length, p=w)
+        idx = rng.choice(VOCAB_SIZE, size=length, p=w)
         en = [words[j] for j in idx]
         # sprinkle numerals (always shared across languages)
         if rng.random() < 0.6:
@@ -69,7 +68,7 @@ def make_multilingual(
         if len(de) > 4 and rng.random() < 0.5:
             j = int(rng.integers(len(de) - 2))
             de[j], de[j + 1] = de[j + 1], de[j]
-        if with_tags and rng.random() < 0.5:
+        if rng.random() < 0.5:
             tag = _TAGS[rng.integers(len(_TAGS))]
             en_text = f"<{tag}>{' '.join(en)}</{tag}>"
             # tags are aligned in the real corpus's parallel XML

@@ -22,13 +22,14 @@ def _word(rng: np.random.Generator, n_syll: int) -> str:
     )
 
 
-def make_words(n: int, seed: int, n_syll_lo: int = 2, n_syll_hi: int = 4) -> list[str]:
-    """n distinct pseudo-words, deterministic in seed."""
+def make_words(n: int, seed: int, n_syll_hi: int = 4) -> list[str]:
+    """n distinct pseudo-words of 2 to ``n_syll_hi`` syllables,
+    deterministic in seed."""
     rng = np.random.default_rng(seed)
     out: list[str] = []
     seen = set()
     while len(out) < n:
-        w = _word(rng, int(rng.integers(n_syll_lo, n_syll_hi + 1)))
+        w = _word(rng, int(rng.integers(2, n_syll_hi + 1)))
         if w not in seen:
             seen.add(w)
             out.append(w)
@@ -45,24 +46,24 @@ class Vocab:
     """Shared vocabulary pools for one dataset family."""
 
     def __init__(self, seed: int = 0):
-        self.brands = make_words(40, seed * 7 + 1, 2, 3)
-        self.categories = make_words(25, seed * 7 + 2, 2, 3)
-        self.descriptors = make_words(300, seed * 7 + 3, 2, 4)
-        self.title_words = make_words(500, seed * 7 + 4, 2, 4)
-        self.first_names = make_words(60, seed * 7 + 5, 2, 3)
-        self.last_names = make_words(120, seed * 7 + 6, 2, 4)
-        self.venues = make_words(15, seed * 7 + 7, 2, 3)
+        self.brands = make_words(40, seed * 7 + 1, 3)
+        self.categories = make_words(25, seed * 7 + 2, 3)
+        self.descriptors = make_words(300, seed * 7 + 3, 4)
+        self.title_words = make_words(500, seed * 7 + 4, 4)
+        self.first_names = make_words(60, seed * 7 + 5, 3)
+        self.last_names = make_words(120, seed * 7 + 6, 4)
+        self.venues = make_words(15, seed * 7 + 7, 3)
         # S-side catalog boilerplate ("free shipping", "oem", ...): big
         # enough that different records draw different blurbs (high
         # embedding variance) yet blurbs still recur across records
-        self.noise_words = make_words(120, seed * 7 + 8, 2, 3)
+        self.noise_words = make_words(120, seed * 7 + 8, 3)
         self._w_desc = zipf_weights(len(self.descriptors))
         self._w_title = zipf_weights(len(self.title_words))
         self._w_brand = zipf_weights(len(self.brands), alpha=0.8)
         # the S catalog's own wording: one fixed synonym per content word
         # (char-disjoint by construction — fresh pseudo-words)
         content = self.categories + self.descriptors + self.title_words
-        alts = make_words(len(content), seed * 7 + 9, 2, 4)
+        alts = make_words(len(content), seed * 7 + 9, 4)
         self.synonyms = dict(zip(content, alts))
 
     def sample_brand(self, rng) -> str:

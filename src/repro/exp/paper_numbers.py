@@ -3,8 +3,6 @@ Jain, Sarawagi & Sen (PVLDB 15(1), 2022), so every benchmark can print
 paper-vs-measured rows and EXPERIMENTS.md can diff them."""
 
 DATASETS = ["walmart_amazon", "amazon_google", "dblp_acm", "dblp_scholar", "abt_buy"]
-SHORT = {"walmart_amazon": "W-A", "amazon_google": "A-G", "dblp_acm": "D-A",
-         "dblp_scholar": "D-S", "abt_buy": "A-B", "multilingual": "ML"}
 
 TABLE1 = {
     "walmart_amazon": {"|R|": 2554, "|S|": 22074, "|DUPS|": 1154, "dup_ratio": 2e-5, "|Dtest|": 2049},

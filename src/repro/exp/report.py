@@ -19,9 +19,8 @@ def table_markdown(result: dict) -> str:
     return "\n".join(lines)
 
 
-def all_tables_markdown(runner: Runner, numbers=None) -> dict[int, str]:
-    numbers = numbers or sorted(TABLES)
-    return {n: table_markdown(TABLES[n](runner)) for n in numbers}
+def all_tables_markdown(runner: Runner) -> dict[int, str]:
+    return {n: table_markdown(TABLES[n](runner)) for n in sorted(TABLES)}
 
 
 def emit(results_dir, table_no: int, result: dict) -> None:

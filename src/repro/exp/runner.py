@@ -44,8 +44,7 @@ TEST_CFG = dict(rounds=2, budget=12, seed_pos=12, seed_neg=12,
 TEST_SCALES = {k: 0.02 for k in BENCH_SCALES} | {"multilingual": 0.004, "abt_buy": 0.06}
 
 
-def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
-                         n_test: int = 200) -> None:
+def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0) -> None:
     """§4.5 seed/test construction for the multilingual dataset.
 
     Probe a pretrained index (k=3 NN of each s over the frozen base
@@ -53,6 +52,7 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0,
     non-duplicates via gold, and sample the labeled seed set and the
     test set from disjoint halves. Mutates ``ds`` in place.
     """
+    n_test = 200  # |D_test| (2000 in the paper, §4.5)
     store = EmbeddingStore(ds, d)
     idx, dist = knn_numpy(l2_normalize(store.s_emb), l2_normalize(store.r_emb), 3)
     pairs = []

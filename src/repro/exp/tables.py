@@ -211,7 +211,7 @@ def table9(runner: Runner) -> dict:
     rows = []
     for op in ("train_matcher", "train_committee", "index_retrieval", "selection"):
         for d in DATASETS:
-            t = runner.al_result(d, blocking="dial")["timings"]
+            t = runner.al_result(d, blocking="dial")["history"][-1]["times"]
             rows.append(
                 {
                     "operation": op, "dataset": d,

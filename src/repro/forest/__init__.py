@@ -8,4 +8,4 @@ consume.
 """
 from repro.forest.tree import DecisionTree  # noqa: F401
 from repro.forest.forest import RandomForest  # noqa: F401
-from repro.forest.features import pair_features, FEATURE_NAMES  # noqa: F401
+from repro.forest.features import FEATURE_NAMES  # noqa: F401

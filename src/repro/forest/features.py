@@ -80,11 +80,3 @@ class PairFeaturizer:
             out[i, 5] = float(bool(r["key"]) and r["key"] == s["key"])
             out[i, 6] = cos[i]
         return out
-
-
-def pair_features(store, ds, pairs: pd.DataFrame) -> np.ndarray:
-    """Driver-side convenience wrapper."""
-    f = PairFeaturizer(
-        ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
-    )
-    return f(pairs)

@@ -8,16 +8,8 @@ from repro.forest.tree import DecisionTree, predict_tree
 
 
 class RandomForest:
-    def __init__(
-        self,
-        n_trees: int = 20,
-        max_depth: int = 8,
-        min_samples_leaf: int = 2,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 20, seed: int = 0):
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.trees: list[dict] = []
 
@@ -30,22 +22,11 @@ class RandomForest:
         self.trees = []
         for t in range(self.n_trees):
             boot = rng.integers(0, n, n)  # bootstrap: same size, with replacement
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                n_feature_sample=mtry,
-                seed=self.seed * 1000 + t,
-            ).fit(X[boot], y[boot])
+            tree = DecisionTree(n_feature_sample=mtry, seed=self.seed * 1000 + t).fit(
+                X[boot], y[boot]
+            )
             self.trees.append(tree.to_arrays())
         return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return forest_proba(self.trees, np.asarray(X, float))
-
-    def vote_variance(self, X: np.ndarray) -> np.ndarray:
-        """Mozafari et al.'s QBC variance: v = q(1-q), q = #match/m where
-        a member "predicts match" if its leaf probability > 0.5."""
-        return forest_vote_variance(self.trees, np.asarray(X, float))
 
 
 def forest_proba(trees: list[dict], X: np.ndarray) -> np.ndarray:
@@ -53,5 +34,7 @@ def forest_proba(trees: list[dict], X: np.ndarray) -> np.ndarray:
 
 
 def forest_vote_variance(trees: list[dict], X: np.ndarray) -> np.ndarray:
+    """Mozafari et al.'s QBC variance: v = q(1-q), q = #match/m where
+    a member "predicts match" if its leaf probability > 0.5."""
     votes = np.mean([(predict_tree(t, X) > 0.5) for t in trees], axis=0)
     return votes * (1 - votes)

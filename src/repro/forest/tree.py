@@ -6,17 +6,17 @@ from __future__ import annotations
 
 import numpy as np
 
+MIN_SAMPLES_LEAF = 2  # fewest training rows per leaf (the paper sets no tree knobs)
+
 
 class DecisionTree:
     def __init__(
         self,
         max_depth: int = 8,
-        min_samples_leaf: int = 2,
         n_feature_sample: int | None = None,
         seed: int = 0,
     ):
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.n_feature_sample = n_feature_sample
         self.rng = np.random.default_rng(seed)
         # node arrays: feature<0 means leaf, value = P(y=1) at the leaf
@@ -49,7 +49,7 @@ class DecisionTree:
             for c in cuts:
                 m = X[:, j] <= c
                 nl = int(m.sum())
-                if nl < self.min_samples_leaf or n - nl < self.min_samples_leaf:
+                if nl < MIN_SAMPLES_LEAF or n - nl < MIN_SAMPLES_LEAF:
                     continue
                 g = (nl * self._gini(y[m]) + (n - nl) * self._gini(y[~m])) / n
                 if g < best[2] - 1e-12:
@@ -66,7 +66,7 @@ class DecisionTree:
         return i
 
     def _build(self, X, y, depth) -> int:
-        if depth >= self.max_depth or len(np.unique(y)) < 2 or len(y) < 2 * self.min_samples_leaf:
+        if depth >= self.max_depth or len(np.unique(y)) < 2 or len(y) < 2 * MIN_SAMPLES_LEAF:
             return self._add_leaf(y)
         j, c, _ = self._best_split(X, y)
         if j is None:
@@ -97,9 +97,6 @@ class DecisionTree:
             "right": np.array(self.right),
             "value": np.array(self.value),
         }
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_tree(self.to_arrays(), np.asarray(X, float))
 
 
 def predict_tree(t: dict, X: np.ndarray) -> np.ndarray:

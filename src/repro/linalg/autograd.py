@@ -148,10 +148,6 @@ class Tensor:
     def log(self):
         return self._make(np.log(self.data), (self,), lambda g: (g / self.data,))
 
-    def sigmoid(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        return self._make(s, (self,), lambda g: (g * s * (1 - s),))
-
     def sqrt(self):
         r = np.sqrt(self.data)
         return self._make(r, (self,), lambda g: (g * 0.5 / r,))

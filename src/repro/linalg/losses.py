@@ -35,22 +35,19 @@ def bce_with_logits(
     return per.mean()
 
 
-def class_balance_weights(labels: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """Per-example class-rebalancing weights.
-
-    gamma=1 gives both classes equal total mass; gamma=0 is unweighted.
-    Full rebalancing keeps the matcher from collapsing to the majority
-    class as AL floods T with near-boundary negatives (at our model
-    scale this collapse is what an unweighted Eq 6 does between rounds).
+def class_balance_weights(labels: np.ndarray) -> np.ndarray:
+    """Per-example class-rebalancing weights that give both classes equal
+    total mass. Full rebalancing keeps the matcher from collapsing to the
+    majority class as AL floods T with near-boundary negatives (at our
+    model scale this collapse is what an unweighted Eq 6 does between
+    rounds).
     """
     y = np.asarray(labels, dtype=np.float64)
     n, n_pos = len(y), y.sum()
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return np.ones(n)
-    return np.where(
-        y == 1, (n / (2 * n_pos)) ** gamma, (n / (2 * n_neg)) ** gamma
-    )
+    return np.where(y == 1, n / (2 * n_pos), n / (2 * n_neg))
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
@@ -106,7 +103,6 @@ def triplet_loss(
     es_p: Tensor,
     er_n: Tensor,
     es_n: Tensor,
-    margin: float = 1.0,
 ) -> Tensor:
     """§4.6.2 Triplet objective with euclidean distance and margin 1.
 
@@ -117,7 +113,7 @@ def triplet_loss(
     d_pos = (rowwise_sqdist(er_p, es_p) + eps).sqrt()
     d_r = (rowwise_sqdist(er_p, es_n) + eps).sqrt()  # anchor r_p vs random s
     d_s = (rowwise_sqdist(es_p, er_n) + eps).sqrt()  # anchor s_p vs random r
-    return ((d_pos - d_r + margin).relu() + (d_pos - d_s + margin).relu()).mean()
+    return ((d_pos - d_r + 1.0).relu() + (d_pos - d_s + 1.0).relu()).mean()
 
 
 def distance_classification_loss(

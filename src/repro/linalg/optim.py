@@ -10,6 +10,12 @@ import numpy as np
 
 from repro.linalg.autograd import Tensor
 
+BATCH_SIZE = 16  # minibatch of every matcher and committee fit (16, §4.2)
+# Adam's moment decay rates and denominator epsilon (not stated in the
+# paper; the usual AdamW defaults)
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 
 class AdamW:
     """AdamW with optional per-parameter-group learning rates.
@@ -21,14 +27,10 @@ class AdamW:
     def __init__(
         self,
         groups: list[tuple[list[Tensor], float]],
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.01,
         total_steps: int | None = None,
     ):
         self.groups = [(list(ps), lr) for ps, lr in groups]
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.wd = weight_decay
         self.total_steps = total_steps
         self.t = 0
@@ -60,9 +62,9 @@ class AdamW:
                 if m is None:
                     m = np.zeros_like(p.data)
                     v = np.zeros_like(p.data)
-                m = self.b1 * m + (1 - self.b1) * g
-                v = self.b2 * v + (1 - self.b2) * g * g
+                m = BETA1 * m + (1 - BETA1) * g
+                v = BETA2 * v + (1 - BETA2) * g * g
                 self._m[id(p)], self._v[id(p)] = m, v
-                mhat = m / (1 - self.b1 ** self.t)
-                vhat = v / (1 - self.b2 ** self.t)
-                p.data -= lr_t * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p.data)
+                mhat = m / (1 - BETA1 ** self.t)
+                vhat = v / (1 - BETA2 ** self.t)
+                p.data -= lr_t * (mhat / (np.sqrt(vhat) + EPS) + self.wd * p.data)

@@ -15,21 +15,14 @@ from __future__ import annotations
 
 import time
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.evaluate import _prf
+from repro.core.evaluate import predicted_prf
 from repro.simjoin.metablock import blocking_graph, weighted_node_pruning
 from repro.simjoin.tokens import jaccard_pairs
 
 _PAIR = ["rid_r", "rid_s"]
-
-
-def _eval_pred(pred: DataFrame, dups: DataFrame) -> dict:
-    n_pred = pred.count()
-    n_gold = dups.count()
-    tp = pred.select(_PAIR).join(dups.select(_PAIR), _PAIR, "inner").count()
-    return _prf(tp, n_pred, n_gold)
 
 
 def schema_based(
@@ -41,7 +34,7 @@ def schema_based(
     scored.count()
     best = None
     for t in thresholds:
-        m = _eval_pred(scored.filter(F.col("jaccard") >= t), ds.dups)
+        m = predicted_prf(scored.filter(F.col("jaccard") >= t), ds.dups)
         if best is None or m["f1"] > best["f1"]:
             best = {**m, "threshold": t}
     scored.unpersist()
@@ -54,14 +47,14 @@ def schema_agnostic(
 ) -> dict:
     """Token blocking + meta-blocking + verification; best-config metrics."""
     t0 = time.perf_counter()
-    graph = weighted_node_pruning(blocking_graph(ds.R, ds.S, "text", "arcs"))
+    graph = weighted_node_pruning(blocking_graph(ds.R, ds.S))
     verified = (
         graph.join(jaccard_pairs(ds.R, ds.S, "text"), _PAIR, "inner").cache()
     )
     verified.count()
     best = None
     for t in thresholds:
-        m = _eval_pred(verified.filter(F.col("jaccard") >= t), ds.dups)
+        m = predicted_prf(verified.filter(F.col("jaccard") >= t), ds.dups)
         if best is None or m["f1"] > best["f1"]:
             best = {**m, "threshold": t}
     verified.unpersist()

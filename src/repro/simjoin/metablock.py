@@ -15,21 +15,18 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import Window
 
 from repro.simjoin.tokens import explode_tokens
 
 
-def blocking_graph(
-    r_df: DataFrame, s_df: DataFrame, col: str = "text", scheme: str = "arcs"
-) -> DataFrame:
+def blocking_graph(r_df: DataFrame, s_df: DataFrame, scheme: str = "arcs") -> DataFrame:
     """DataFrame(rid_r, rid_s, weight): the weighted blocking graph.
 
-    Blocks are tokens of ``col``; block cardinality ||b|| is the number
+    Blocks are tokens of all attribute values (``text``); block cardinality ||b|| is the number
     of comparisons the block induces (n_r * n_s within the block).
     """
-    rt = explode_tokens(r_df, col).withColumnRenamed("id", "rid_r")
-    st = explode_tokens(s_df, col).withColumnRenamed("id", "rid_s")
+    rt = explode_tokens(r_df, "text").withColumnRenamed("id", "rid_r")
+    st = explode_tokens(s_df, "text").withColumnRenamed("id", "rid_s")
     r_card = rt.groupBy("token").agg(F.count("*").alias("n_r"))
     s_card = st.groupBy("token").agg(F.count("*").alias("n_s"))
     card = (
@@ -56,14 +53,4 @@ def weighted_node_pruning(graph: DataFrame) -> DataFrame:
         .join(s_mean, "rid_s")
         .filter((F.col("weight") >= F.col("r_mean")) | (F.col("weight") >= F.col("s_mean")))
         .select("rid_r", "rid_s", "weight")
-    )
-
-
-def top_k_per_node(graph: DataFrame, k: int) -> DataFrame:
-    """Cardinality node pruning: keep each S record's k best edges."""
-    w = Window.partitionBy("rid_s").orderBy(F.col("weight").desc(), F.col("rid_r"))
-    return (
-        graph.withColumn("_rank", F.row_number().over(w))
-        .filter(F.col("_rank") <= k)
-        .drop("_rank")
     )

@@ -42,20 +42,20 @@ def _product_rules(ds) -> DataFrame:
     return key_match.unionByName(brand_match).distinct()
 
 
-def _citation_rules(ds, min_shared: int = 3) -> DataFrame:
-    """>= min_shared shared title tokens (classic overlap blocking)."""
+def _citation_rules(ds) -> DataFrame:
+    """>= 3 shared title tokens (classic overlap blocking)."""
     return (
         shared_token_pairs(ds.R, ds.S, "title")
-        .filter(F.col("shared") >= min_shared)
+        .filter(F.col("shared") >= 3)
         .select("rid_r", "rid_s")
     )
 
 
-def _textual_rules(ds, min_shared: int = 4) -> DataFrame:
-    """Long-text family: >= min_shared shared tokens over the full text."""
+def _textual_rules(ds) -> DataFrame:
+    """Long-text family: >= 4 shared tokens over the full text."""
     return (
         shared_token_pairs(ds.R, ds.S, "text")
-        .filter(F.col("shared") >= min_shared)
+        .filter(F.col("shared") >= 4)
         .select("rid_r", "rid_s")
     )
 

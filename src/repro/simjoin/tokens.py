@@ -11,26 +11,25 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def explode_tokens(df: DataFrame, col: str = "title", id_col: str = "rid") -> DataFrame:
-    """DataFrame(id, token) with one row per distinct token of ``col``."""
+def explode_tokens(df: DataFrame, col: str) -> DataFrame:
+    """DataFrame(id, token) with one row per distinct token of ``col``;
+    ``id`` is the record's ``rid``."""
     toks = F.split(F.regexp_replace(F.lower(F.col(col)), "[^a-z0-9]+", " "), " ")
     return (
-        df.select(F.col(id_col).alias("id"), F.explode(toks).alias("token"))
+        df.select(F.col("rid").alias("id"), F.explode(toks).alias("token"))
         .filter(F.col("token") != "")
         .distinct()
     )
 
 
-def token_counts(df: DataFrame, col: str = "title", id_col: str = "rid") -> DataFrame:
+def token_counts(df: DataFrame, col: str) -> DataFrame:
     """DataFrame(id, n_tokens): distinct-token count per record."""
-    return explode_tokens(df, col, id_col).groupBy("id").agg(
+    return explode_tokens(df, col).groupBy("id").agg(
         F.count("*").alias("n_tokens")
     )
 
 
-def shared_token_pairs(
-    r_df: DataFrame, s_df: DataFrame, col: str = "title"
-) -> DataFrame:
+def shared_token_pairs(r_df: DataFrame, s_df: DataFrame, col: str) -> DataFrame:
     """DataFrame(rid_r, rid_s, shared): pairs sharing >=1 token of ``col``
     with the count of shared distinct tokens — classic token blocking."""
     rt = explode_tokens(r_df, col).withColumnRenamed("id", "rid_r")
@@ -42,15 +41,13 @@ def shared_token_pairs(
     )
 
 
-def jaccard_pairs(
-    r_df: DataFrame, s_df: DataFrame, col: str = "title", min_shared: int = 1
-) -> DataFrame:
+def jaccard_pairs(r_df: DataFrame, s_df: DataFrame, col: str) -> DataFrame:
     """DataFrame(rid_r, rid_s, shared, jaccard) over token-blocked pairs.
 
     jaccard = shared / (|tokens_r| + |tokens_s| - shared). Pairs sharing
     no token are (correctly) absent — their jaccard is 0.
     """
-    pairs = shared_token_pairs(r_df, s_df, col).filter(F.col("shared") >= min_shared)
+    pairs = shared_token_pairs(r_df, s_df, col)
     rc = token_counts(r_df, col).withColumnRenamed("id", "rid_r").withColumnRenamed(
         "n_tokens", "n_r"
     )

@@ -36,15 +36,14 @@ class HashedLM:
     Parameters
     ----------
     d : embedding dimension (the paper's TPLM uses 768; we default 192).
-    ngram_weight : relative weight of the char-3-gram component vs the
-        whole-token component (default 1.0: a typo'd token keeps
-        cosine ~0.35 to the original — subword robustness without
-        smearing distinct words together). 0 disables subword sharing.
+
+    The whole-token and char-3-gram components weigh the same: a typo'd
+    token keeps cosine ~0.35 to the original — subword robustness
+    without smearing distinct words together.
     """
 
-    def __init__(self, d: int = 192, ngram_weight: float = 1.0):
+    def __init__(self, d: int = 192):
         self.d = d
-        self.ngram_weight = ngram_weight
         self._tok_cache: dict[str, np.ndarray] = {}
         self._ng_cache: dict[str, np.ndarray] = {}
 
@@ -65,14 +64,14 @@ class HashedLM:
             return v
         whole = self._hashed_vec("tok:" + token, self._ng_cache)
         v = whole.copy()
-        if self.ngram_weight > 0 and len(token) >= 3:
+        if len(token) >= 3:
             padded = f"^{token}$"
             grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
             gv = np.zeros(self.d)
             for g in grams:
                 gv += self._hashed_vec("3g:" + g, self._ng_cache)
             gv /= max(1.0, np.linalg.norm(gv))
-            v = whole + self.ngram_weight * gv
+            v = whole + gv
         v /= np.linalg.norm(v)
         self._tok_cache[token] = v
         return v

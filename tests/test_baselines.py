@@ -4,7 +4,7 @@ import pytest
 from repro.core import dial
 from repro.core.baselines import run_rf_qbc, score_forest
 from repro.forest.features import PairFeaturizer
-from repro.forest.forest import RandomForest
+from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
 
 
 def test_rf_loop_runs(runner):
@@ -78,8 +78,8 @@ def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store):
     import numpy as np
 
     X = feat(pairs)
-    want_p = forest.predict_proba(X)
-    want_v = forest.vote_variance(X)
+    want_p = forest_proba(forest.trees, X)
+    want_v = forest_vote_variance(forest.trees, X)
     for j, (r, s) in enumerate(zip(pairs.rid_r, pairs.rid_s)):
         np.testing.assert_allclose(got.prob.loc[(r, s)], want_p[j], atol=1e-9)
         np.testing.assert_allclose(got.variance.loc[(r, s)], want_v[j], atol=1e-9)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.blocker import Blocker, MemberParams, member_embed
+from repro.core.blocker import RANK, Blocker, MemberParams, member_embed
 
 
 def _pools(seed=0, n=80, d=32):
@@ -130,12 +130,13 @@ def test_tau_estimated_once():
 
 
 def test_rank_limits_deviation():
-    b = Blocker(32, n_members=1, rank=4, seed=0)
+    b = Blocker(32, n_members=1, seed=0)
     z_r, z_s = _pools()
     zp = _systematic_pos()
     b.fit(zp, z_r, z_s, epochs=10, seed=0)
     dev = b.As[0].data @ b.Bs[0].data
-    assert np.linalg.matrix_rank(dev, tol=1e-9) <= 4
+    assert RANK == 16
+    assert np.linalg.matrix_rank(dev, tol=1e-9) <= RANK < 32
 
 
 def test_invalid_objective_rejected():

@@ -13,6 +13,7 @@ from pyspark.sql import functions as F
 
 from repro.core.baselines import run_rf_qbc
 from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
+from repro.core.ibc import knn_k_for
 from repro.core.selectors import select
 
 
@@ -24,7 +25,7 @@ def _check_result(res, rounds):
         for k in ("precision", "recall", "f1"):
             assert 0 <= m[k] <= 100
     assert f["rt_seconds"] >= 0
-    t = res["timings"]
+    t = res["history"][-1]["times"]
     assert set(t) >= {"train_matcher", "train_committee", "index_retrieval", "match_cand", "selection"}
 
 
@@ -317,11 +318,11 @@ def _check_edge_run(res, ds, rounds):
 
 
 def test_loop_with_k_above_R(spark, runner, wa):
-    """A two-record R probed with k = 5 neighbours per query."""
+    """A two-record R probed with k = 3 neighbours per query."""
     r_rids = wa.seed_pos_pdf.rid_r.drop_duplicates().head(2)
     ds = _sub_dataset(spark, wa, r_rids, wa.s_pdf.rid)
-    assert len(ds.r_pdf) == 2
-    cfg = runner.config("walmart_amazon", knn_k=5)
+    assert len(ds.r_pdf) == 2 < knn_k_for(ds.name)
+    cfg = runner.config("walmart_amazon")
     _check_edge_run(_run_al_bounded(spark, ds, cfg), ds, cfg.rounds)
 
 
@@ -331,3 +332,34 @@ def test_loop_with_one_S_record(spark, runner, wa):
     assert len(ds.s_pdf) == 1
     cfg = runner.config("walmart_amazon")
     _check_edge_run(_run_al_bounded(spark, ds, cfg), ds, cfg.rounds)
+
+
+@pytest.mark.parametrize("selector", ["random", "greedy", "badge"])
+def test_selection_ignores_cand_row_order(spark, runner, wa, wa_store, monkeypatch, selector):
+    """Reordering the scored CAND leaves the frame handed to the
+    selector, and so the selected batch, unchanged."""
+    from repro.core import dial
+    from repro.spark import broadcasts, with_broadcasts
+
+    cfg = runner.config("walmart_amazon", selector=selector, rounds=1)
+    seen, picked = [], []
+    select_, score_ = dial.select, dial.score_pairs
+
+    def record(name, cand, *a, **kw):
+        seen.append(cand)
+        out = select_(name, cand, *a, **kw)
+        picked.append(list(zip(out.rid_r, out.rid_s)))
+        return out
+
+    def reversed_scores(*a, **kw):
+        scored = score_(*a, **kw)
+        flipped = scored.orderBy(F.desc("rid_r"), F.desc("rid_s"))
+        return with_broadcasts(flipped, *broadcasts(scored))
+
+    monkeypatch.setattr(dial, "select", record)
+    run_al(spark, wa, cfg, store=wa_store)
+    monkeypatch.setattr(dial, "score_pairs", reversed_scores)
+    run_al(spark, wa, cfg, store=wa_store)
+    pd.testing.assert_frame_equal(seen[0], seen[1])
+    assert len(picked[0]) == cfg.budget
+    assert picked[0] == picked[1]

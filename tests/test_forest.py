@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.forest.features import FEATURE_NAMES, PairFeaturizer, pair_features
+from repro.forest.features import FEATURE_NAMES, PairFeaturizer
 from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
 from repro.forest.tree import DecisionTree, predict_tree
 
@@ -19,7 +19,7 @@ def _xor_free_data(n=300, seed=0):
 def test_tree_fits_threshold_rule():
     X, y = _xor_free_data()
     t = DecisionTree(max_depth=3, seed=0).fit(X, y)
-    acc = ((t.predict_proba(X) > 0.5) == y).mean()
+    acc = ((predict_tree(t.to_arrays(), X) > 0.5) == y).mean()
     assert acc > 0.97
 
 
@@ -28,14 +28,14 @@ def test_tree_fits_conjunction():
     X = rng.random((500, 4))
     y = ((X[:, 0] > 0.5) & (X[:, 2] < 0.4)).astype(float)
     t = DecisionTree(max_depth=5, seed=0).fit(X, y)
-    assert (((t.predict_proba(X) > 0.5) == y).mean()) > 0.95
+    assert (((predict_tree(t.to_arrays(), X) > 0.5) == y).mean()) > 0.95
 
 
 def test_tree_pure_labels_single_leaf():
     X = np.random.default_rng(0).random((20, 2))
     t = DecisionTree().fit(X, np.ones(20))
     assert t.feature == [-1]
-    np.testing.assert_allclose(t.predict_proba(X), 1.0)
+    np.testing.assert_allclose(predict_tree(t.to_arrays(), X), 1.0)
 
 
 def test_tree_respects_max_depth():
@@ -57,7 +57,7 @@ def test_forest_beats_chance_and_is_deterministic():
     X, y = _xor_free_data(400, 4)
     f1 = RandomForest(n_trees=10, seed=0).fit(X, y)
     f2 = RandomForest(n_trees=10, seed=0).fit(X, y)
-    p1, p2 = f1.predict_proba(X), f2.predict_proba(X)
+    p1, p2 = forest_proba(f1.trees, X), forest_proba(f2.trees, X)
     np.testing.assert_allclose(p1, p2)
     assert (((p1 > 0.5) == y).mean()) > 0.95
 
@@ -65,7 +65,7 @@ def test_forest_beats_chance_and_is_deterministic():
 def test_forest_vote_variance_bounds():
     X, y = _xor_free_data(200, 5)
     f = RandomForest(n_trees=20, seed=0).fit(X, y)
-    v = f.vote_variance(X)
+    v = forest_vote_variance(f.trees, X)
     assert np.all(v >= 0) and np.all(v <= 0.25 + 1e-12)
 
 
@@ -76,7 +76,7 @@ def test_vote_variance_high_on_ambiguous_points():
     f = RandomForest(n_trees=20, seed=0).fit(X, y)
     near = np.column_stack([np.full(50, 0.5), rng.random(50)])
     far = np.column_stack([np.full(50, 0.95), rng.random(50)])
-    assert f.vote_variance(near).mean() > f.vote_variance(far).mean()
+    assert forest_vote_variance(f.trees, near).mean() > forest_vote_variance(f.trees, far).mean()
 
 
 def test_forest_proba_is_tree_mean():
@@ -88,15 +88,21 @@ def test_forest_proba_is_tree_mean():
 
 # -- pair features ----------------------------------------------------------
 
+def _featurizer(ds, store):
+    return PairFeaturizer(
+        ds.r_pdf, ds.s_pdf, store.r_emb, store.s_emb, store.r_index, store.s_index
+    )
+
+
 def test_pair_features_shape_and_names(runner, wa, wa_store):
     pairs = wa.dups_pdf.head(5)
-    X = pair_features(wa_store, wa, pairs)
+    X = _featurizer(wa, wa_store)(pairs)
     assert X.shape == (5, len(FEATURE_NAMES))
 
 
 def test_pair_features_ranges(runner, wa, wa_store):
     pairs = pd.concat([wa.dups_pdf.head(10), wa.seed_neg_pdf.head(10)])
-    X = pair_features(wa_store, wa, pairs)
+    X = _featurizer(wa, wa_store)(pairs)
     assert np.all(X[:, :5] >= 0) and np.all(X[:, :5] <= 1)
     assert np.all(X[:, 6] >= -1 - 1e-9) and np.all(X[:, 6] <= 1 + 1e-9)
 
@@ -113,8 +119,8 @@ def test_dup_features_exceed_random_negatives(runner, wa, wa_store):
     )
     dup_set = wa.dup_set
     rand = rand[[(r, s) not in dup_set for r, s in zip(rand.rid_r, rand.rid_s)]]
-    Xd = pair_features(wa_store, wa, dups)
-    Xr = pair_features(wa_store, wa, rand)
+    feat = _featurizer(wa, wa_store)
+    Xd, Xr = feat(dups), feat(rand)
     assert Xd[:, 0].mean() > Xr[:, 0].mean() + 0.05  # title jaccard
     assert Xd[:, 6].mean() > Xr[:, 6].mean() + 0.05  # embedding cosine
 
@@ -122,10 +128,7 @@ def test_dup_features_exceed_random_negatives(runner, wa, wa_store):
 def test_featurizer_picklable(runner, wa, wa_store):
     import pickle
 
-    f = PairFeaturizer(
-        wa.r_pdf, wa.s_pdf, wa_store.r_emb, wa_store.s_emb,
-        wa_store.r_index, wa_store.s_index,
-    )
+    f = _featurizer(wa, wa_store)
     f2 = pickle.loads(pickle.dumps(f))
     pairs = wa.dups_pdf.head(3)
     np.testing.assert_allclose(f(pairs), f2(pairs))

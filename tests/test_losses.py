@@ -46,7 +46,7 @@ def test_bce_weights_rescale():
 @pytest.mark.parametrize("n_pos,n_neg", [(2, 8), (5, 5), (1, 99)])
 def test_class_balance_weights_equalize(n_pos, n_neg):
     y = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
-    w = class_balance_weights(y, gamma=1.0)
+    w = class_balance_weights(y)
     np.testing.assert_allclose(w[y == 1].sum(), w[y == 0].sum())
 
 
@@ -151,7 +151,7 @@ def test_triplet_zero_when_margin_satisfied():
     er_p = np.zeros((3, 4))
     es_p = np.zeros((3, 4))
     far = np.ones((3, 4)) * 10
-    v = triplet_loss(const(er_p), const(es_p), const(far), const(far), margin=1.0)
+    v = triplet_loss(const(er_p), const(es_p), const(far), const(far))
     np.testing.assert_allclose(v.item(), 0.0)
 
 
@@ -159,7 +159,7 @@ def test_triplet_penalizes_close_negatives():
     er_p = np.zeros((3, 4))
     es_p = np.ones((3, 4))  # positive at distance 2
     near = np.zeros((3, 4)) + 0.1  # negatives nearer than the positive
-    v = triplet_loss(const(er_p), const(es_p), const(near), const(near), margin=1.0)
+    v = triplet_loss(const(er_p), const(es_p), const(near), const(near))
     assert v.item() > 0
 
 

@@ -8,11 +8,16 @@ import pandas as pd
 import pytest
 
 from repro.core.matcher import (
+    HIDDEN,
     Matcher,
     pair_align_features,
     predict_from_params,
     score_pairs,
 )
+
+
+def _proba(m, er, es, align):
+    return predict_from_params(m.params(), er, es, align)[0]
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +39,14 @@ def test_training_reduces_loss(trained):
 
 def test_training_fits_training_set(trained):
     m, T, er, es, align, _ = trained
-    p = m.predict_proba(er, es, align)
+    p = _proba(m, er, es, align)
     acc = ((p > 0.5) == T.label.to_numpy()).mean()
     assert acc > 0.85
 
 
 def test_probabilities_bounded(trained):
     m, T, er, es, align, _ = trained
-    p = m.predict_proba(er, es, align)
+    p = _proba(m, er, es, align)
     assert np.all(p > 0) and np.all(p < 1)
 
 
@@ -60,11 +65,13 @@ def test_transform_changes_after_training(trained, wa_store):
 
 
 def test_predict_from_params_matches_method(trained):
+    """The numpy forward pass the scoring UDF runs equals the sigmoid of
+    the autograd forward pass the matcher trains."""
     m, T, er, es, align, _ = trained
-    p1 = m.predict_proba(er, es, align)
+    p1 = 1.0 / (1.0 + np.exp(-m.forward(er, es, align).data))
     p2, hidden = predict_from_params(m.params(), er, es, align)
     np.testing.assert_allclose(p1, p2)
-    assert hidden.shape == (len(T), m.hidden)
+    assert hidden.shape == (len(T), HIDDEN)
 
 
 def test_params_are_copies(trained):
@@ -79,7 +86,7 @@ def test_score_pairs_matches_driver(spark, trained, wa, wa_store):
     pairs_df = spark.createDataFrame(T[["rid_r", "rid_s"]])
     got = score_pairs(spark, pairs_df, wa_store, [m.params()]).toPandas()
     got = got.set_index(["rid_r", "rid_s"]).prob
-    want = m.predict_proba(er, es, align)
+    want = _proba(m, er, es, align)
     for j, (r, s) in enumerate(zip(T.rid_r, T.rid_s)):
         np.testing.assert_allclose(got.loc[(r, s)], want[j], atol=1e-9)
 
@@ -103,8 +110,8 @@ def test_score_pairs_average(spark, trained, wa, wa_store):
         .set_index(["rid_r", "rid_s"])
         .prob
     )
-    p1 = m.predict_proba(er, es, align)
-    p2 = m2.predict_proba(er, es, align)
+    p1 = _proba(m, er, es, align)
+    p2 = _proba(m2, er, es, align)
     for j, (r, s) in enumerate(zip(T.rid_r, T.rid_s)):
         np.testing.assert_allclose(got.loc[(r, s)], (p1[j] + p2[j]) / 2, atol=1e-9)
 
@@ -147,7 +154,7 @@ def test_matcher_separates_holdout(trained, wa, wa_store):
     test = test[[(r, s) not in used for r, s in zip(test.rid_r, test.rid_s)]]
     er, es = wa_store.pair_embs(test)
     align = pair_align_features(wa_store, test)
-    p = m.predict_proba(er, es, align)
+    p = _proba(m, er, es, align)
     y = test.label.to_numpy()
     if y.sum() and (1 - y).sum():
         assert p[y == 1].mean() > p[y == 0].mean() + 0.15

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.selectors import (
-    SELECTOR_NAMES,
+    SELECTORS,
     entropy,
     select,
     select_badge,
@@ -118,7 +118,7 @@ def test_unknown_selector_raises(rng):
 
 
 def test_selector_names_complete():
-    assert set(SELECTOR_NAMES) == {
+    assert set(SELECTORS) == {
         "uncertainty", "random", "greedy", "partition2", "partition4", "qbc", "badge",
     }
 
@@ -155,7 +155,7 @@ def test_qbc_end_to_end(spark, runner, wa, wa_store, rng):
         "qbc", cand, 6, rng,
         spark=spark, store=wa_store, cand_df=cand_df, labeled=labeled,
         matcher_params=None,
-        matcher_kwargs=dict(epochs=4, batch_size=8),
+        matcher_epochs=4,
     )
     assert len(out) == 6
     assert set(zip(out.rid_r, out.rid_s)) <= set(zip(cand.rid_r, cand.rid_s))

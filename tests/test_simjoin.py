@@ -1,12 +1,16 @@
 """Token blocking / Rules / meta-blocking / JedAI pipelines, with
 DuckDB-oracle checks on every relational result."""
+import inspect
+
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.evaluate import _prf
 from repro.oracle import assert_equivalent
 from repro.simjoin.jedai import schema_agnostic, schema_based
-from repro.simjoin.metablock import blocking_graph, top_k_per_node, weighted_node_pruning
+from repro.simjoin.metablock import blocking_graph, weighted_node_pruning
 from repro.simjoin.rules import rules_cand
 from repro.simjoin.tokens import explode_tokens, jaccard_pairs, shared_token_pairs
 from repro.text.tokenize import tokenize
@@ -140,7 +144,7 @@ def test_rules_product_key_equality_included(spark, wa):
 
 def test_blocking_graph_cbs_oracle(spark, toy):
     rdf, sdf, r, s = toy
-    got = blocking_graph(rdf, sdf, "text", "cbs")
+    got = blocking_graph(rdf, sdf, "cbs")
     assert_equivalent(
         got,
         """
@@ -160,7 +164,7 @@ def test_blocking_graph_cbs_oracle(spark, toy):
 
 def test_arcs_weights_favor_rare_blocks(spark, toy):
     rdf, sdf, *_ = toy
-    g = blocking_graph(rdf, sdf, "text", "arcs").toPandas()
+    g = blocking_graph(rdf, sdf).toPandas()
     lut = {(p.rid_r, p.rid_s): p.weight for p in g.itertuples()}
     # (r0,s0) shares rare tokens (camera, w35) + sony; (r2,s0) only sony
     assert lut[("r0", "s0")] > lut[("r2", "s0")]
@@ -168,7 +172,7 @@ def test_arcs_weights_favor_rare_blocks(spark, toy):
 
 def test_wnp_subset_and_keeps_best(spark, toy):
     rdf, sdf, *_ = toy
-    g = blocking_graph(rdf, sdf, "text", "arcs")
+    g = blocking_graph(rdf, sdf)
     pruned = weighted_node_pruning(g).toPandas()
     full = g.toPandas()
     assert len(pruned) <= len(full)
@@ -177,13 +181,6 @@ def test_wnp_subset_and_keeps_best(spark, toy):
     kept = set(zip(pruned.rid_r, pruned.rid_s))
     for row in best.itertuples():
         assert (row.rid_r, row.rid_s) in kept
-
-
-def test_top_k_per_node(spark, toy):
-    rdf, sdf, *_ = toy
-    g = blocking_graph(rdf, sdf, "text", "cbs")
-    t = top_k_per_node(g, 1).toPandas()
-    assert t.groupby("rid_s").size().max() == 1
 
 
 # -- JedAI-style pipelines --------------------------------------------------
@@ -195,6 +192,39 @@ def test_jedai_pipeline_outputs(spark, runner, fn):
     assert set(out) >= {"precision", "recall", "f1", "threshold", "rt_seconds"}
     assert 0 <= out["f1"] <= 100
     assert out["rt_seconds"] > 0
+
+
+@pytest.mark.parametrize("fn", [schema_based, schema_agnostic], ids=["sb", "sa"])
+def test_jedai_metrics_oracle(spark, runner, fn):
+    """The reported P/R/F1 and threshold equal a DuckDB grid search over
+    the workflow's verified pairs (each step has its own oracle test)."""
+    ds = runner.dataset("dblp_acm")
+    if fn is schema_based:
+        pairs = jaccard_pairs(ds.R, ds.S, "title")
+    else:
+        graph = weighted_node_pruning(blocking_graph(ds.R, ds.S))
+        pairs = graph.join(jaccard_pairs(ds.R, ds.S, "text"), ["rid_r", "rid_s"])
+    con = duckdb.connect()
+    try:
+        con.register("pairs", pairs.select("rid_r", "rid_s", "jaccard").toPandas())
+        con.register("dups", ds.dups_pdf[["rid_r", "rid_s"]])
+        best = None
+        for t in inspect.signature(fn).parameters["thresholds"].default:
+            tp, n_pred, n_gold = con.execute(
+                "SELECT (SELECT count(*) FROM pairs JOIN dups USING (rid_r, rid_s)"
+                f" WHERE jaccard >= {t}), (SELECT count(*) FROM pairs WHERE jaccard >= {t}),"
+                " (SELECT count(*) FROM dups)"
+            ).fetchone()
+            m = _prf(tp, n_pred, n_gold)
+            if best is None or m["f1"] > best["f1"]:
+                best = {**m, "threshold": t}
+    finally:
+        con.close()
+    got = fn(spark, ds)
+    assert 0 < best["f1"] < 100
+    assert got["threshold"] == best["threshold"]
+    for k in ("precision", "recall", "f1"):
+        assert abs(got[k] - best[k]) <= 1e-9, (k, got[k], best[k])
 
 
 def test_jedai_grid_picks_best_threshold(spark, runner):

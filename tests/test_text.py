@@ -159,7 +159,11 @@ def test_alignment_batch_matches_single():
 
 
 def test_ngram_weight_zero_removes_subword_sharing():
-    lm = HashedLM(128, ngram_weight=0.0)
-    a = lm.token_vec("panasonic")
-    typo = lm.token_vec("panasonlc")
+    """Without its char-3-gram part, a token vector is its whole-token
+    hash alone, and a typo'd token's is unrelated to the original's."""
+    lm = HashedLM(128)
+    a = lm._hashed_vec("tok:panasonic", {})
+    typo = lm._hashed_vec("tok:panasonlc", {})
+    np.testing.assert_allclose(np.linalg.norm(a), 1.0)
     assert abs(a @ typo) < 0.4  # whole-token hashes are unrelated
+    assert lm.token_vec("panasonic") @ lm.token_vec("panasonlc") > abs(a @ typo) + 0.2
