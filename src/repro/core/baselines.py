@@ -34,10 +34,16 @@ _SCHEMA = T.StructType(
 
 
 def score_forest(
-    spark: SparkSession, pairs: DataFrame, featurizer: PairFeaturizer, trees: list[dict]
+    spark: SparkSession,
+    pairs: DataFrame,
+    featurizer: PairFeaturizer,
+    trees: list[dict],
+    n_part: int,
 ) -> DataFrame:
-    """Distributed forest scoring: prob + QBC vote variance per pair.
-    The broadcast is tied to the result (``repro.spark.release``)."""
+    """Distributed forest scoring: prob + QBC vote variance per pair, over
+    ``pairs`` split round-robin into ``n_part`` partitions; the plan runs
+    no Spark job. The broadcast is tied to the result
+    (``repro.spark.release``)."""
     b = spark.sparkContext.broadcast((featurizer, trees))
 
     def part(batches):
@@ -55,7 +61,6 @@ def score_forest(
                 }
             )
 
-    n_part = max(2, min(16, pairs.count() // 512 or 2))
     scored = pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, _SCHEMA)
     return with_broadcasts(scored, b)
 
@@ -83,6 +88,11 @@ def run_rf_qbc(
         times["train_matcher"] = time.perf_counter() - t0
         return forest.trees
 
+    # one partition per 512 pairs, 2 to 16: the round-robin split sets the
+    # row order of the scores, and so which of the pairs tied at the
+    # highest vote variance ``pick`` takes
+    n_part = max(2, min(16, rules_cand_df.count() // 512 or 2))
+
     def pick(selectable, T_lab, cand, trees, rng):
         return selectable.sort_values("variance", ascending=False, kind="stable").head(
             cfg.budget
@@ -91,7 +101,7 @@ def run_rf_qbc(
     return _run_rounds(
         ds, cfg, {**cfg.__dict__, "blocking": "rf_qbc"},
         train=train,
-        score=lambda cand, trees: score_forest(spark, cand, featurizer, trees),
+        score=lambda cand, trees: score_forest(spark, cand, featurizer, trees, n_part),
         pick=pick,
         cand=rules_cand_df,
     )

@@ -15,9 +15,9 @@ baseline blocking strategies of §4.3, which share everything else
 
 Each round: train matcher on T (Eq 6) → build blocker → retrieve CAND
 (distributed k-NN) → score CAND once (distributed paired-mode UDF) →
-evaluate (D_test predictions come from CAND's scores) → select B pairs
-(excluding D_test and already-labeled) → oracle labels → augment T. No
-warm start between rounds (§4.2).
+evaluate on the driver (D_test predictions come from CAND's scores) →
+select B pairs (excluding D_test and already-labeled) → oracle labels →
+augment T. No warm start between rounds (§4.2).
 
 One driver, ``_run_rounds``, owns that round skeleton: the seed set,
 evaluation, the D_test/labeled exclusion, labeling, the growth of T,
@@ -250,16 +250,25 @@ def _run_rounds(
       Without ``block``, ``cand`` is the CAND of every round.
     - ``score(cand, model) -> DataFrame`` scores CAND (``prob``), once
       per round. The one collect of its result is the frame to select
-      from, and its row order breaks the selector's ties. Evaluation
-      reads the cached scores; D_test is not scored on its own.
+      from, and its row order breaks the selector's ties. D_test is not
+      scored on its own.
     - ``pick(selectable, T, cand, model, rng) -> pd.DataFrame`` chooses
       the pairs to label.
 
-    ``config`` is recorded as the result's config. A CAND is cached here
-    only when it is not cached already, and only such a frame is
-    released here (unpersisted, its broadcasts destroyed), when it is
-    replaced or the run ends; each round's scored CAND is released at
-    the end of the round.
+    Evaluation counts on the driver against ``ds.dups_pdf`` and
+    ``ds.test_pdf``: test P/R/F1 from the collected scores, recall and
+    all-pairs P/R/F1 from one collect each of the cached scored CAND,
+    which holds exactly CAND's pairs. Each history entry also records
+    ``batch_pos_rate`` (positives over the labeled batch's size, 0.0 for
+    an empty batch) and ``cand_overlap`` (the percentage of CAND's pairs
+    that the previous round's CAND held; None in round 0 or for an
+    empty CAND).
+
+    ``config`` is recorded as the result's config. A CAND that arrives
+    cached was materialized by its owner and is used as it is. Any
+    other CAND is cached and counted here, and released (unpersisted,
+    its broadcasts destroyed) when it is replaced or the run ends; each
+    round's scored CAND is released at the end of the round.
     """
     result = ALResult(config=config, dataset=ds.name)
     rng = np.random.default_rng(cfg.seed * 7 + 13)
@@ -269,13 +278,17 @@ def _run_rounds(
         nonlocal owned
         if owned is not None:
             release(owned)
-        owned = None if df.is_cached else df.cache()
-        df.count()
+        if df.is_cached:
+            owned = None
+        else:
+            owned = df.cache()
+            df.count()
         return df
 
     if cand is not None:
         cand = use(cand)
     test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
+    prev_keys = None  # the previous round's CAND pairs
     T = _seed_labeled(ds, cfg, rng)
     try:
         for rnd in range(cfg.rounds):
@@ -299,9 +312,9 @@ def _run_rounds(
 
             # evaluation (§4.1); D_test predictions come from CAND's scores
             t0 = time.perf_counter()
-            cand_rec = blocker_recall(cand, ds.dups)
-            ap = all_pairs_prf(scored, ds.dups)
-            tp = test_prf(ds.test, scored)
+            cand_rec = blocker_recall(scored, ds.dups_pdf)
+            ap = all_pairs_prf(scored, ds.dups_pdf)
+            tp = test_prf(ds.test_pdf, pdf)
             times["evaluate"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -312,9 +325,16 @@ def _run_rounds(
             chosen = pick(pdf[mask].reset_index(drop=True), T, cand, model, rng)
             times["selection"] = time.perf_counter() - t0
 
-            T = pd.concat(
-                [T, label_pairs(chosen, ds.dup_set)], ignore_index=True
-            ).drop_duplicates(["rid_r", "rid_s"], keep="first")
+            batch = label_pairs(chosen, ds.dup_set)
+            T = pd.concat([T, batch], ignore_index=True).drop_duplicates(
+                ["rid_r", "rid_s"], keep="first"
+            )
+            keys = set(zip(pdf.rid_r, pdf.rid_s))
+            overlap = (
+                100.0 * len(keys & prev_keys) / len(keys)
+                if prev_keys is not None and keys else None
+            )
+            prev_keys = keys
 
             result.history.append(
                 {
@@ -322,6 +342,8 @@ def _run_rounds(
                     "n_labeled": int(len(T)),
                     "cand_recall": cand_rec,
                     "cand_size": int(len(pdf)),
+                    "cand_overlap": overlap,
+                    "batch_pos_rate": int(batch.label.sum()) / len(batch) if len(batch) else 0.0,
                     "test": tp,
                     "all_pairs": ap,
                     "times": times,

@@ -1,4 +1,4 @@
-"""Evaluation metrics (§4.1), each one Spark aggregate query.
+"""Evaluation metrics (§4.1), counted on the driver.
 
 - blocker recall: |CAND ∩ DUPS| / |DUPS|
 - all-pairs P/R/F1: predicted dups = {(r,s) ∈ CAND : P(dup) > 0.5}
@@ -8,14 +8,20 @@
   (a pair not retrieved in CAND is predicted non-dup), read from the
   scored CAND: D_test is never scored on its own
 
-Each query left-joins a broadcast side (an explicit ``F.broadcast``
-hint, so no join shuffles into ``spark.sql.shuffle.partitions``) and
-ends in one global aggregate. CAND holds each pair once. Each metric
-has a DuckDB-oracle test in ``tests/test_evaluate.py``.
+DUPS and D_test are the dataset's pandas copies, and every metric
+counts pairs by membership in a Python set of ``(rid_r, rid_s)``
+tuples, built from the smaller side (DUPS, or the test pairs predicted
+positive), so that no set of all of CAND is built. ``blocker_recall``
+and ``all_pairs_prf`` take a Spark frame and collect only the pair
+columns they need, in one job each (``all_pairs_prf`` filters
+``prob > 0.5`` before the collect); ``predicted_prf`` and ``test_prf``
+run no Spark job. CAND and DUPS hold each pair once. Each metric has a
+DuckDB-oracle test in ``tests/test_evaluate.py``.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 _PAIR = ["rid_r", "rid_s"]
@@ -29,48 +35,33 @@ def _prf(tp: int, n_pred: int, n_gold: int) -> dict:
     return {"precision": 100 * p, "recall": 100 * r, "f1": 100 * f1}
 
 
-def _flagged(pairs: DataFrame, flag: str) -> DataFrame:
-    """(rid_r, rid_s, flag=1), broadcast: the lookup side of a left join."""
-    return F.broadcast(pairs.select(*_PAIR, F.lit(1).alias(flag)))
+def _keys(pdf: pd.DataFrame) -> set:
+    return set(zip(pdf.rid_r, pdf.rid_s))
 
 
-def _is_set(flag: str) -> Column:
-    return F.col(flag).isNotNull().cast("int")
+def _hits(pairs: pd.DataFrame, keys: set) -> int:
+    """How many rows of ``pairs`` are in ``keys``."""
+    return sum(p in keys for p in zip(pairs.rid_r, pairs.rid_s))
 
 
-def _sums(df: DataFrame, **cols: Column) -> dict:
-    """One global aggregate: the integer sum of each named column."""
-    row = df.agg(*[F.sum(c).alias(k) for k, c in cols.items()]).collect()[0]
-    return {k: int(row[k] or 0) for k in cols}
-
-
-def blocker_recall(cand: DataFrame, dups: DataFrame) -> float:
+def blocker_recall(cand: DataFrame, dups: pd.DataFrame) -> float:
     """Fraction of gold duplicates present in the candidate set."""
-    s = _sums(
-        dups.select(_PAIR).join(_flagged(cand, "hit"), _PAIR, "left"),
-        gold=F.lit(1), hit=_is_set("hit"),
-    )
-    return 100.0 * s["hit"] / s["gold"] if s["gold"] else 0.0
+    hit = _hits(cand.select(_PAIR).toPandas(), _keys(dups))
+    return 100.0 * hit / len(dups) if len(dups) else 0.0
 
 
-def predicted_prf(pred: DataFrame, dups: DataFrame) -> dict:
+def predicted_prf(pred: pd.DataFrame, dups: pd.DataFrame) -> dict:
     """P/R/F1 of the predicted duplicate pairs ``pred`` vs the gold DUPS."""
-    pred = (
-        pred.select(_PAIR)
-        .join(_flagged(dups, "gold"), _PAIR, "left")
-        .select(F.lit(1).alias("pred"), _is_set("gold").alias("tp"), F.lit(0).alias("gold"))
-    )
-    gold = dups.select(F.lit(0).alias("pred"), F.lit(0).alias("tp"), F.lit(1).alias("gold"))
-    s = _sums(pred.unionByName(gold), pred=F.col("pred"), tp=F.col("tp"), gold=F.col("gold"))
-    return _prf(s["tp"], s["pred"], s["gold"])
+    return _prf(_hits(pred, _keys(dups)), len(pred), len(dups))
 
 
-def all_pairs_prf(scored_cand: DataFrame, dups: DataFrame) -> dict:
+def all_pairs_prf(scored_cand: DataFrame, dups: pd.DataFrame) -> dict:
     """P/R/F1 of {cand pairs with prob > 0.5} vs the gold DUPS."""
-    return predicted_prf(scored_cand.filter(F.col("prob") > THRESHOLD), dups)
+    pred = scored_cand.filter(F.col("prob") > THRESHOLD).select(_PAIR).toPandas()
+    return predicted_prf(pred, dups)
 
 
-def test_prf(test: DataFrame, scored_cand: DataFrame) -> dict:
+def test_prf(test: pd.DataFrame, scored_cand: pd.DataFrame) -> dict:
     """P/R/F1 on the labeled test pairs.
 
     A test pair is predicted duplicate iff it is in CAND *and* its
@@ -79,10 +70,7 @@ def test_prf(test: DataFrame, scored_cand: DataFrame) -> dict:
     retrieved in CAND and the matcher assigns probability > 0.5"); its
     probability is read from ``scored_cand``.
     """
-    probs = F.broadcast(scored_cand.select(*_PAIR, "prob"))
-    pred = F.coalesce((F.col("prob") > THRESHOLD).cast("int"), F.lit(0))
-    s = _sums(
-        test.join(probs, _PAIR, "left"),
-        tp=pred * F.col("label"), pred=pred, gold=F.col("label"),
-    )
-    return _prf(s["tp"], s["pred"], s["gold"])
+    pos = _keys(scored_cand[scored_cand.prob > THRESHOLD])
+    pred = [p in pos for p in zip(test.rid_r, test.rid_s)]
+    labels = test.label.tolist()
+    return _prf(sum(p * y for p, y in zip(pred, labels)), sum(pred), sum(labels))

@@ -71,8 +71,9 @@ class ERDataset:
     """One synthetic benchmark: Spark views + driver-side pandas copies.
 
     The pandas copies exist because model *training* (a few hundred
-    labeled pairs) and the simulated labeler run on the driver; every
-    |R|x|S|-shaped computation uses the Spark DataFrames.
+    labeled pairs), the simulated labeler and evaluation run on the
+    driver; every |R|x|S|-shaped computation uses the Spark DataFrames.
+    DUPS exists only as ``dups_pdf``.
     """
 
     name: str
@@ -80,7 +81,6 @@ class ERDataset:
     scale: float
     R: DataFrame
     S: DataFrame
-    dups: DataFrame
     test: DataFrame
     r_pdf: pd.DataFrame = field(repr=False, default=None)
     s_pdf: pd.DataFrame = field(repr=False, default=None)
@@ -328,7 +328,6 @@ def make_dataset(
         scale=scale,
         R=spark.createDataFrame(r_pdf),
         S=spark.createDataFrame(s_pdf),
-        dups=spark.createDataFrame(dups_pdf),
         test=spark.createDataFrame(test_pdf),
         r_pdf=r_pdf,
         s_pdf=s_pdf,

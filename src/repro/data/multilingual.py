@@ -97,7 +97,6 @@ def make_multilingual(
         scale=scale,
         R=spark.createDataFrame(r_pdf),
         S=spark.createDataFrame(s_pdf),
-        dups=spark.createDataFrame(dups_pdf),
         test=spark.createDataFrame(test_pos.assign(label=1)),
         r_pdf=r_pdf,
         s_pdf=s_pdf,

@@ -57,7 +57,9 @@ def test_rf_qbc_live_seed0(spark, runner, wa, wa_store, monkeypatch):
     assert rules.is_cached
 
 
-def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store):
+def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store, count_jobs):
+    """Forest scores from the distributed plan equal the driver's, and
+    building the plan runs no Spark job."""
     feat = PairFeaturizer(
         wa.r_pdf, wa.s_pdf, wa_store.r_emb, wa_store.s_emb,
         wa_store.r_index, wa_store.s_index,
@@ -70,11 +72,12 @@ def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store):
     )
     forest = RandomForest(n_trees=5, seed=0).fit(feat(T), T.label.to_numpy())
     pairs = pd.concat([wa.dups_pdf.head(10), wa.seed_neg_pdf.iloc[8:18]], ignore_index=True)
-    got = (
-        score_forest(spark, spark.createDataFrame(pairs), feat, forest.trees)
-        .toPandas()
-        .set_index(["rid_r", "rid_s"])
-    )
+    pairs_df = spark.createDataFrame(pairs)
+    plan = []
+    assert count_jobs(
+        lambda: plan.append(score_forest(spark, pairs_df, feat, forest.trees, 2))
+    ) == 0
+    got = plan[0].toPandas().set_index(["rid_r", "rid_s"])
     import numpy as np
 
     X = feat(pairs)

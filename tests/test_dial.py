@@ -2,6 +2,7 @@
 import json
 import os
 import signal
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,8 +10,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core import evaluate
 from repro.core.baselines import run_rf_qbc
 from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
 from repro.core.ibc import knn_k_for
@@ -77,6 +80,8 @@ def test_fixed_blockers_have_constant_recall(runner):
         res = runner.al_result("walmart_amazon", blocking=mode)
         recalls = [h["cand_recall"] for h in res["history"]]
         assert len(set(np.round(recalls, 6))) == 1
+        overlaps = [h["cand_overlap"] for h in res["history"]]
+        assert overlaps == [None] + [100.0] * (len(overlaps) - 1)
 
 
 def test_selected_pairs_exclude_test_set(spark, runner, wa):
@@ -182,7 +187,7 @@ def test_round_driver_excludes_test_and_labeled_pairs(spark, wa):
     res = _run_rounds(
         wa, ALConfig(rounds=1, budget=4, seed_pos=12, seed_neg=12), {},
         train=lambda rnd, T, times: None,
-        score=lambda df, model: df.select("rid_r", "rid_s", F.lit(0.9).alias("prob")),
+        score=_fixed_score,
         pick=pick,
         cand=spark.createDataFrame(pairs),
     )
@@ -192,6 +197,54 @@ def test_round_driver_excludes_test_and_labeled_pairs(spark, wa):
     assert not excluded & set(zip(selectable.rid_r, selectable.rid_s))
     assert res.history[0]["n_labeled"] == len(T) + 4
     assert res.history[0]["cand_size"] == len(pairs)
+
+
+def _fixed_score(df, model):
+    return df.select("rid_r", "rid_s", F.lit(0.9).alias("prob"))
+
+
+def test_round_driver_records_cand_overlap(spark, wa):
+    """``cand_overlap`` is the percentage of this round's CAND pairs that
+    the previous round's CAND held; a kept CAND overlaps fully."""
+    pairs = wa.dups_pdf[["rid_r", "rid_s"]].head(8)
+    cands = iter([pairs.iloc[:4], pairs.iloc[2:8], None])  # None keeps CAND
+
+    def block(model):
+        c = next(cands)
+        return None if c is None else spark.createDataFrame(c)
+
+    res = _run_rounds(
+        wa, ALConfig(rounds=3, budget=1, seed_pos=12, seed_neg=12), {},
+        train=lambda rnd, T, times: None,
+        block=block,
+        score=_fixed_score,
+        pick=lambda selectable, T, cand, model, rng: selectable.head(0),
+    )
+    assert [h["cand_overlap"] for h in res.history] == [None, 100.0 * 2 / 6, 100.0]
+
+
+def test_round_driver_records_batch_pos_rate(spark, wa):
+    """``batch_pos_rate`` is the labeled batch's share of duplicates, and
+    0.0 when a round labels nothing."""
+    cand = pd.concat([wa.dups_pdf, wa.seed_neg_pdf])[["rid_r", "rid_s"]].drop_duplicates()
+    dups = wa.dup_set
+
+    def pick(selectable, T, cand, model, rng):
+        if len(T) > 24:  # the second round labels nothing
+            return selectable.head(0)
+        is_dup = np.array([p in dups for p in zip(selectable.rid_r, selectable.rid_s)])
+        assert is_dup.sum() >= 1 and (~is_dup).sum() >= 3
+        return pd.concat([selectable[is_dup].head(1), selectable[~is_dup].head(3)])
+
+    res = _run_rounds(
+        wa, ALConfig(rounds=2, budget=4, seed_pos=12, seed_neg=12), {},
+        train=lambda rnd, T, times: None,
+        score=_fixed_score,
+        pick=pick,
+        cand=spark.createDataFrame(cand),
+    )
+    assert [h["batch_pos_rate"] for h in res.history] == [0.25, 0.0]
+    assert [h["n_labeled"] for h in res.history] == [28, 28]
 
 
 def test_round_driver_budget_above_selectable_pool(spark, wa):
@@ -230,6 +283,7 @@ def test_empty_cand_round_finishes(spark, runner, wa):
     assert h["cand_recall"] == 0.0
     assert h["n_labeled"] == cfg.seed_pos + cfg.seed_neg
     assert h["all_pairs"] == h["test"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+    assert h["batch_pos_rate"] == 0.0 and h["cand_overlap"] is None
 
 
 def test_seed_set_without_nonduplicate_pairs_fails():
@@ -282,7 +336,6 @@ def _sub_dataset(spark, ds, r_rids, s_rids):
         ds,
         R=spark.createDataFrame(r_pdf, ds.R.schema),
         S=spark.createDataFrame(s_pdf, ds.S.schema),
-        dups=spark.createDataFrame(dups_pdf, ds.dups.schema),
         test=spark.createDataFrame(test_pdf, ds.test.schema),
         r_pdf=r_pdf,
         s_pdf=s_pdf,
@@ -363,3 +416,29 @@ def test_selection_ignores_cand_row_order(spark, runner, wa, wa_store, monkeypat
     pd.testing.assert_frame_equal(seen[0], seen[1])
     assert len(picked[0]) == cfg.budget
     assert picked[0] == picked[1]
+
+
+def test_loop_keeps_the_traced_benchmark_contract(spark, runner, wa, wa_store, monkeypatch):
+    """The traced benchmark run (``perfbench``) wraps ``blocker_recall``
+    and ``all_pairs_prf`` wherever a ``repro`` module holds them, counts
+    rounds by the ``blocker_recall`` calls and collects the pair columns
+    of each call's first argument in the final round. So each is called
+    once per round with a Spark frame holding those columns."""
+    calls = []
+    for fn, cols in [
+        (evaluate.blocker_recall, {"rid_r", "rid_s"}),
+        (evaluate.all_pairs_prf, {"rid_r", "rid_s", "prob"}),
+    ]:
+        def spy(*a, _fn=fn, _cols=cols, **kw):
+            assert isinstance(a[0], DataFrame) and _cols <= set(a[0].columns)
+            calls.append(_fn.__name__)
+            return _fn(*a, **kw)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("repro") and mod is not None:
+                for attr, v in list(vars(mod).items()):
+                    if v is fn:
+                        monkeypatch.setattr(mod, attr, spy)
+    cfg = runner.config("walmart_amazon", rounds=2)
+    run_al(spark, wa, cfg, store=wa_store)
+    assert calls == ["blocker_recall", "all_pairs_prf"] * cfg.rounds

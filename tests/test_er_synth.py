@@ -157,4 +157,3 @@ def test_spark_and_pandas_views_agree(spark, datasets):
     ds = datasets["abt_buy"]
     assert ds.R.count() == len(ds.r_pdf)
     assert ds.S.count() == len(ds.s_pdf)
-    assert ds.dups.count() == len(ds.dups_pdf)

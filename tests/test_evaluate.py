@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.evaluate import _prf, all_pairs_prf, blocker_recall
+from repro.core.evaluate import _prf, all_pairs_prf, blocker_recall, predicted_prf
 from repro.core.evaluate import test_prf as tprf  # alias: bare name would be collected
 
 
@@ -27,10 +27,8 @@ def frames(spark):
         }
     )
     return {
-        "dups": spark.createDataFrame(dups),
         "cand": spark.createDataFrame(cand),
         "scored": spark.createDataFrame(scored[["rid_r", "rid_s", "prob"]]),
-        "test": spark.createDataFrame(test),
         "dups_pdf": dups,
         "scored_pdf": scored,
         "test_pdf": test,
@@ -51,11 +49,11 @@ def test_prf_zero_safe():
 
 def test_blocker_recall(frames):
     # cand contains r0-s0, r1-s1 of the 4 gold dups
-    assert blocker_recall(frames["cand"], frames["dups"]) == 50.0
+    assert blocker_recall(frames["cand"], frames["dups_pdf"]) == 50.0
 
 
 def test_all_pairs_prf(frames):
-    m = all_pairs_prf(frames["scored"], frames["dups"])
+    m = all_pairs_prf(frames["scored"], frames["dups_pdf"])
     # predicted dups: prob>0.5 -> (r0,s0), (r2,s9), (r9,s9); tp = 1
     assert abs(m["precision"] - 100 / 3) < 1e-9
     assert m["recall"] == 25.0
@@ -78,8 +76,6 @@ def random_frames(spark):
     test = pairs.iloc[260:340].assign(label=rng.integers(0, 2, 80)).reset_index(drop=True)
     return {
         "cand": spark.createDataFrame(cand),
-        "dups": spark.createDataFrame(dups),
-        "test": spark.createDataFrame(test),
         "tables": {"cand": cand, "dups": dups, "test": test},
     }
 
@@ -108,7 +104,7 @@ def test_blocker_recall_oracle(random_frames):
         f["tables"],
     )
     assert (hit, n_gold) == (30, 60)
-    assert abs(blocker_recall(f["cand"], f["dups"]) - 100.0 * hit / n_gold) <= 1e-9
+    assert abs(blocker_recall(f["cand"], f["tables"]["dups"]) - 100.0 * hit / n_gold) <= 1e-9
 
 
 _ALL_PAIRS_SQL = """
@@ -137,16 +133,18 @@ def _prf_oracle(sql: str, f: dict) -> dict:
 
 def test_all_pairs_prf_oracle(random_frames):
     f = random_frames
-    _assert_prf_close(all_pairs_prf(f["cand"], f["dups"]), _prf_oracle(_ALL_PAIRS_SQL, f))
+    _assert_prf_close(
+        all_pairs_prf(f["cand"], f["tables"]["dups"]), _prf_oracle(_ALL_PAIRS_SQL, f)
+    )
 
 
 def test_test_prf_oracle(random_frames):
     f = random_frames
-    _assert_prf_close(tprf(f["test"], f["cand"]), _prf_oracle(_TEST_SQL, f))
+    _assert_prf_close(tprf(f["tables"]["test"], f["tables"]["cand"]), _prf_oracle(_TEST_SQL, f))
 
 
 def test_test_prf(frames):
-    m = tprf(frames["test"], frames["scored"])
+    m = tprf(frames["test_pdf"], frames["scored_pdf"])
     # test pairs: (r0,s0) in cand prob .9 -> pred 1 (tp)
     #             (r1,s1) in cand prob .4 -> pred 0
     #             (r9,s9) in cand prob .95 -> pred 1 (fp)
@@ -155,17 +153,27 @@ def test_test_prf(frames):
     assert abs(m["recall"] - 100 / 3) < 1e-9
 
 
-def test_test_prf_pair_not_in_cand_is_negative(spark, frames):
-    empty_scored_cand = spark.createDataFrame(
-        [], schema="rid_r string, rid_s string, dist double, prob double"
-    )
-    m = tprf(frames["test"], empty_scored_cand)
+def test_test_prf_pair_not_in_cand_is_negative(frames):
+    empty_scored_cand = pd.DataFrame(
+        {"rid_r": [], "rid_s": [], "dist": [], "prob": []}
+    ).astype({"rid_r": str, "rid_s": str})
+    m = tprf(frames["test_pdf"], empty_scored_cand)
     assert m["recall"] == 0.0 and m["precision"] == 0.0
 
 
-def test_blocker_recall_empty_gold(spark, frames):
-    empty = spark.createDataFrame([], schema="rid_r string, rid_s string")
+def test_blocker_recall_empty_gold(frames):
+    empty = pd.DataFrame({"rid_r": [], "rid_s": []}, dtype=str)
     assert blocker_recall(frames["cand"], empty) == 0.0
+
+
+def test_spark_jobs_per_metric(spark, frames, count_jobs):
+    """``blocker_recall`` and ``all_pairs_prf`` collect once each; the
+    metrics over driver frames run no Spark job."""
+    f = frames
+    assert count_jobs(lambda: blocker_recall(f["cand"], f["dups_pdf"])) == 1
+    assert count_jobs(lambda: all_pairs_prf(f["scored"], f["dups_pdf"])) == 1
+    assert count_jobs(lambda: tprf(f["test_pdf"], f["scored_pdf"])) == 0
+    assert count_jobs(lambda: predicted_prf(f["scored_pdf"], f["dups_pdf"])) == 0
 
 
 def test_labeler(frames):

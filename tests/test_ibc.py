@@ -90,10 +90,10 @@ def test_committee_recall_at_least_best_member(spark, runner):
     big = 10 * len(store.s_rids)
     rec_union = blocker_recall(
         retrieve_cand(spark, store.r_rids, store.s_rids, [r1, r2], [s1, s2], 3, big),
-        ds.dups,
+        ds.dups_pdf,
     )
     rec_single = blocker_recall(
-        retrieve_cand(spark, store.r_rids, store.s_rids, [r1], [s1], 3, big), ds.dups
+        retrieve_cand(spark, store.r_rids, store.s_rids, [r1], [s1], 3, big), ds.dups_pdf
     )
     assert rec_union >= rec_single - 1e-9
 

@@ -122,7 +122,7 @@ def test_rules_recall_reasonable(runner, name):
     from repro.core.evaluate import blocker_recall
 
     ds = runner.dataset(name)
-    rec = blocker_recall(runner.rules(name), ds.dups)
+    rec = blocker_recall(runner.rules(name), ds.dups_pdf)
     assert rec > 60.0
 
 
