@@ -1,13 +1,13 @@
 """Non-TPLM baseline: Random Forest + learner-aware QBC (§4.3).
 
 RF-QBC is a forest strategy for the shared round driver
-(``repro.core.dial._run_rounds``) over the Rules candidate set: each
-round trains a bootstrap-bagged forest on the labeled pairs, scores
-every candidate pair with all trees in a distributed ``mapInPandas``
-(featurizer + tree arrays broadcast — committee scoring as a UDF over
-partitioned pairs), and queries the B pairs with the highest bootstrap
-vote variance (Mozafari et al.). Final verdict: forest probability >
-0.5 on CAND.
+(``repro.core.dial._run_rounds``) over the Rules candidate set, laid
+out on the driver once per run: each round trains a bootstrap-bagged
+forest on the labeled pairs, scores every candidate pair with all trees
+in a distributed ``mapInPandas`` (featurizer + tree arrays broadcast —
+committee scoring as a UDF over partitioned pairs), and queries the B
+pairs with the highest bootstrap vote variance (Mozafari et al.). Final
+verdict: forest probability > 0.5 on CAND.
 """
 from __future__ import annotations
 
@@ -38,11 +38,10 @@ def score_forest(
     pairs: DataFrame,
     featurizer: PairFeaturizer,
     trees: list[dict],
-    n_part: int,
 ) -> DataFrame:
-    """Distributed forest scoring: prob + QBC vote variance per pair, over
-    ``pairs`` split round-robin into ``n_part`` partitions; the plan runs
-    no Spark job. The broadcast is tied to the result
+    """Distributed forest scoring: prob + QBC vote variance per pair, one
+    task per partition of ``pairs``, rows in its order; the plan runs no
+    Spark job. The broadcast is tied to the result
     (``repro.spark.release``)."""
     b = spark.sparkContext.broadcast((featurizer, trees))
 
@@ -61,7 +60,7 @@ def score_forest(
                 }
             )
 
-    scored = pairs.select("rid_r", "rid_s").repartition(n_part).mapInPandas(part, _SCHEMA)
+    scored = pairs.select("rid_r", "rid_s").mapInPandas(part, _SCHEMA)
     return with_broadcasts(scored, b)
 
 
@@ -88,10 +87,12 @@ def run_rf_qbc(
         times["train_matcher"] = time.perf_counter() - t0
         return forest.trees
 
-    # one partition per 512 pairs, 2 to 16: the round-robin split sets the
-    # row order of the scores, and so which of the pairs tied at the
-    # highest vote variance ``pick`` takes
+    # CAND laid out on the driver once per run, in the row order of a
+    # round-robin split into one partition per 512 pairs (2 to 16): until
+    # ties are broken by pair id, that order breaks ``pick``'s ties
     n_part = max(2, min(16, rules_cand_df.count() // 512 or 2))
+    rules = rules_cand_df.select("rid_r", "rid_s").repartition(n_part).toPandas()
+    cand = spark.createDataFrame(rules, "rid_r string, rid_s string")
 
     def pick(selectable, T_lab, cand, trees, rng):
         return selectable.sort_values("variance", ascending=False, kind="stable").head(
@@ -101,7 +102,7 @@ def run_rf_qbc(
     return _run_rounds(
         ds, cfg, {**cfg.__dict__, "blocking": "rf_qbc"},
         train=train,
-        score=lambda cand, trees: score_forest(spark, cand, featurizer, trees, n_part),
+        score=lambda cand, trees: score_forest(spark, cand, featurizer, trees),
         pick=pick,
-        cand=rules_cand_df,
+        cand=cand,
     )

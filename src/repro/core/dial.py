@@ -21,7 +21,7 @@ augment T. No warm start between rounds (§4.2).
 
 One driver, ``_run_rounds``, owns that round skeleton: the seed set,
 evaluation, the D_test/labeled exclusion, labeling, the growth of T,
-the result bookkeeping and the lifetime of cached CAND frames.
+the result bookkeeping and the lifetime of each round's scored CAND.
 ``run_al`` supplies DIAL's training, blocking, scoring and selection;
 ``repro.core.baselines.run_rf_qbc`` supplies a random forest's.
 """
@@ -37,7 +37,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.blocker import Blocker, member_embed
 from repro.core.encoders import EmbeddingStore
 from repro.core.evaluate import all_pairs_prf, blocker_recall, test_prf
-from repro.core.ibc import cand_size_for, knn_k_for, l2_normalize, retrieve_cand
+from repro.core.ibc import CAND_SCHEMA, cand_size_for, knn_k_for, l2_normalize, retrieve_cand
 from repro.core.labeler import label_pairs
 from repro.core.matcher import Matcher, pair_align_features, score_pairs
 from repro.core.selectors import select
@@ -258,109 +258,91 @@ def _run_rounds(
     Evaluation counts on the driver against ``ds.dups_pdf`` and
     ``ds.test_pdf``: test P/R/F1 from the collected scores, recall and
     all-pairs P/R/F1 from one collect each of the cached scored CAND,
-    which holds exactly CAND's pairs. Each history entry also records
+    which holds exactly CAND's pairs (the traced benchmark hooks both
+    and needs that Spark frame). Each history entry also records
     ``batch_pos_rate`` (positives over the labeled batch's size, 0.0 for
     an empty batch) and ``cand_overlap`` (the percentage of CAND's pairs
     that the previous round's CAND held; None in round 0 or for an
     empty CAND).
 
-    ``config`` is recorded as the result's config. A CAND that arrives
-    cached was materialized by its owner and is used as it is. Any
-    other CAND is cached and counted here, and released (unpersisted,
-    its broadcasts destroyed) when it is replaced or the run ends; each
-    round's scored CAND is released at the end of the round.
+    ``config`` is recorded as the result's config. Every CAND is a
+    driver-backed frame that holds no broadcast, so scoring it is one
+    wave of tasks; each round's scored CAND is cached, collected once
+    and released (unpersisted, its broadcast destroyed) at the end of
+    the round.
     """
     result = ALResult(config=config, dataset=ds.name)
     rng = np.random.default_rng(cfg.seed * 7 + 13)
-    owned = None  # the CAND frame this function cached, if any
-
-    def use(df: DataFrame) -> DataFrame:
-        nonlocal owned
-        if owned is not None:
-            release(owned)
-        if df.is_cached:
-            owned = None
-        else:
-            owned = df.cache()
-            df.count()
-        return df
-
-    if cand is not None:
-        cand = use(cand)
     test_keys = set(zip(ds.test_pdf.rid_r, ds.test_pdf.rid_s))
     prev_keys = None  # the previous round's CAND pairs
     T = _seed_labeled(ds, cfg, rng)
-    try:
-        for rnd in range(cfg.rounds):
-            times: dict[str, float] = {}
-            model = train(rnd, T, times)
+    for rnd in range(cfg.rounds):
+        times: dict[str, float] = {}
+        model = train(rnd, T, times)
 
-            if block is not None:
-                t0 = time.perf_counter()
-                new = block(model)
-                times["index_retrieval"] = 0.0
-                if new is not None:
-                    cand = use(new)  # materialize under the retrieval timer
-                    times["index_retrieval"] = time.perf_counter() - t0
-
-            # distributed scoring of CAND (the "matching" half of RT):
-            # one pass, cached for evaluation and collected for selection
+        if block is not None:
             t0 = time.perf_counter()
-            scored = score(cand, model).cache()
-            pdf = scored.toPandas()
-            times["match_cand"] = time.perf_counter() - t0
+            new = block(model)
+            times["index_retrieval"] = 0.0
+            if new is not None:
+                cand = new
+                times["index_retrieval"] = time.perf_counter() - t0
 
-            # evaluation (§4.1); D_test predictions come from CAND's scores
-            t0 = time.perf_counter()
-            cand_rec = blocker_recall(scored, ds.dups_pdf)
-            ap = all_pairs_prf(scored, ds.dups_pdf)
-            tp = test_prf(ds.test_pdf, pdf)
-            times["evaluate"] = time.perf_counter() - t0
+        # distributed scoring of CAND (the "matching" half of RT):
+        # one pass, cached for evaluation and collected for selection
+        t0 = time.perf_counter()
+        scored = score(cand, model).cache()
+        pdf = scored.toPandas()
+        times["match_cand"] = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            excluded = test_keys | set(zip(T.rid_r, T.rid_s))
-            mask = np.array(
-                [(r, s) not in excluded for r, s in zip(pdf.rid_r, pdf.rid_s)], dtype=bool
-            )
-            chosen = pick(pdf[mask].reset_index(drop=True), T, cand, model, rng)
-            times["selection"] = time.perf_counter() - t0
+        # evaluation (§4.1); D_test predictions come from CAND's scores
+        t0 = time.perf_counter()
+        cand_rec = blocker_recall(scored, ds.dups_pdf)
+        ap = all_pairs_prf(scored, ds.dups_pdf)
+        tp = test_prf(ds.test_pdf, pdf)
+        times["evaluate"] = time.perf_counter() - t0
 
-            batch = label_pairs(chosen, ds.dup_set)
-            T = pd.concat([T, batch], ignore_index=True).drop_duplicates(
-                ["rid_r", "rid_s"], keep="first"
-            )
-            keys = set(zip(pdf.rid_r, pdf.rid_s))
-            overlap = (
-                100.0 * len(keys & prev_keys) / len(keys)
-                if prev_keys is not None and keys else None
-            )
-            prev_keys = keys
+        t0 = time.perf_counter()
+        excluded = test_keys | set(zip(T.rid_r, T.rid_s))
+        mask = np.array(
+            [(r, s) not in excluded for r, s in zip(pdf.rid_r, pdf.rid_s)], dtype=bool
+        )
+        chosen = pick(pdf[mask].reset_index(drop=True), T, cand, model, rng)
+        times["selection"] = time.perf_counter() - t0
 
-            result.history.append(
-                {
-                    "round": rnd,
-                    "n_labeled": int(len(T)),
-                    "cand_recall": cand_rec,
-                    "cand_size": int(len(pdf)),
-                    "cand_overlap": overlap,
-                    "batch_pos_rate": int(batch.label.sum()) / len(batch) if len(batch) else 0.0,
-                    "test": tp,
-                    "all_pairs": ap,
-                    "times": times,
-                }
-            )
-            # RT of Table 2/10: blocking + matching time for the final verdict
-            result.final = {
+        batch = label_pairs(chosen, ds.dup_set)
+        T = pd.concat([T, batch], ignore_index=True).drop_duplicates(
+            ["rid_r", "rid_s"], keep="first"
+        )
+        keys = set(zip(pdf.rid_r, pdf.rid_s))
+        overlap = (
+            100.0 * len(keys & prev_keys) / len(keys)
+            if prev_keys is not None and keys else None
+        )
+        prev_keys = keys
+
+        result.history.append(
+            {
+                "round": rnd,
+                "n_labeled": int(len(T)),
                 "cand_recall": cand_rec,
+                "cand_size": int(len(pdf)),
+                "cand_overlap": overlap,
+                "batch_pos_rate": int(batch.label.sum()) / len(batch) if len(batch) else 0.0,
                 "test": tp,
                 "all_pairs": ap,
-                "rt_seconds": times.get("index_retrieval", 0.0) + times["match_cand"],
-                "n_labeled": int(len(T)),
+                "times": times,
             }
-            release(scored)
-    finally:
-        if owned is not None:
-            release(owned)
+        )
+        # RT of Table 2/10: blocking + matching time for the final verdict
+        result.final = {
+            "cand_recall": cand_rec,
+            "test": tp,
+            "all_pairs": ap,
+            "rt_seconds": times.get("index_retrieval", 0.0) + times["match_cand"],
+            "n_labeled": int(len(T)),
+        }
+        release(scored)
     return result
 
 
@@ -380,6 +362,8 @@ def run_al(
         store = EmbeddingStore(ds, cfg.d)
     if cfg.blocking == "rules":
         assert rules_cand is not None, "rules blocking needs a rules_cand DataFrame"
+        rules = rules_cand.select("rid_r", "rid_s", "dist").toPandas()  # greedy reads dist
+        rules_cand = spark.createDataFrame(rules, CAND_SCHEMA)  # laid out once per run
     else:
         rules_cand = None
     cand_size = _resolve_cand_size(cfg, ds)

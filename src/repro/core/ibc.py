@@ -4,12 +4,12 @@ For each committee member: index the member embeddings of all r in R,
 probe with every s in S for its k nearest neighbours. All members run in
 one distributed exact k-NN job (``repro.index.brute.knn_join``): the
 member matrices are broadcast and the queries are sent as ids of fixed
-row blocks, one task per core. The N·k·|S| retrieved pairs then shuffle
-into one partition, where a single pandas reducer merges the committee
-(no shuffle into ``spark.sql.shuffle.partitions``): each member's pairs
-are ranked by its own distances, the union RP is deduplicated keeping
-the best rank and the minimum distance, and the closest |CAND| pairs,
-in that order, form the candidate set.
+row blocks, one task per core. The N·k·|S| retrieved pairs are collected
+and merged on the driver: each member's pairs are ranked by its own
+distances, the union RP is deduplicated keeping the best rank and the
+minimum distance, and the closest |CAND| pairs, in that order, form the
+candidate set, a driver-backed frame in ``defaultParallelism``
+contiguous slices that scoring reads in one wave of tasks.
 
 The same routine serves the single-embedding baselines (PairedFixed,
 PairedAdapt, SentenceBERT) with a one-member "committee".
@@ -21,7 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.brute import knn_join
-from repro.spark import broadcasts, with_broadcasts
+from repro.spark import release
 
 
 def l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -29,6 +29,9 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     blocking method so comparisons isolate the *embeddings*, not the
     metric)."""
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+
+
+CAND_SCHEMA = "rid_r string, rid_s string, dist double"
 
 
 def retrieve_cand(
@@ -44,34 +47,41 @@ def retrieve_cand(
 
     ``*_embs_by_member[m]`` is the (n, d) member-m embedding matrix in
     rid order. S records are the queries, R is indexed — matching the
-    paper's "create index on R, probe with each s in S". The plan is
-    lazy; its one partition holds CAND sorted by (rank, dist, rid_s,
-    rid_r), and ``repro.spark.release`` frees its broadcast.
+    paper's "create index on R, probe with each s in S". Runs the k-NN
+    job, releases its broadcast, and returns CAND sorted by (rank, dist,
+    rid_s, rid_r) as a driver-backed frame (typed even when empty).
     """
     knn = knn_join(spark, s_rids, s_embs_by_member, r_rids, r_embs_by_member, k)
-    n = int(cand_size)
+    try:
+        rp = knn.toPandas()
+    finally:
+        release(knn)
+    return spark.createDataFrame(_merge_committee(rp, int(cand_size)), CAND_SCHEMA)
 
-    def merge(batches):
-        parts = list(batches)
-        if not parts:  # empty S: the reducer gets no batches
-            return
-        rp = pd.concat(parts, ignore_index=True)
-        # rank each member's retrieved pairs by its own distances so the
-        # merge across members is scale-free: each member's best pairs
-        # get an equal claim on the candidate budget ("closest pairs
-        # from RP", robust to members with different distance scales)
-        rp = rp.sort_values(["member", "dist", "qid", "iid"], ignore_index=True)
-        rp["rank"] = rp.groupby("member").cumcount() + 1
-        cand = (
-            rp.groupby(["qid", "iid"], as_index=False)
-            .agg(rank=("rank", "min"), dist=("dist", "min"))
-            .sort_values(["rank", "dist", "qid", "iid"])
-            .head(n)
-        )
-        yield cand.rename(columns={"iid": "rid_r", "qid": "rid_s"})[["rid_r", "rid_s", "dist"]]
 
-    cand = knn.repartition(1).mapInPandas(merge, schema="rid_r string, rid_s string, dist double")
-    return with_broadcasts(cand, *broadcasts(knn))
+def _merge_committee(rp: pd.DataFrame, n: int) -> pd.DataFrame:
+    """RP(member, qid, iid, dist) → the n best pairs (rid_r, rid_s, dist).
+    Ranking each member's pairs by its own distances makes the merge
+    scale-free: each member's best pairs get an equal claim on the
+    budget. Sorts run on integer ranks of the rids, in string order."""
+    qids, q = np.unique(rp.qid.to_numpy(), return_inverse=True)
+    iids, i = np.unique(rp.iid.to_numpy(), return_inverse=True)
+    member, dist = rp.member.to_numpy(), rp.dist.to_numpy()
+    order = np.lexsort((i, q, dist, member))
+    by_member = member[order]
+    rank = np.empty(len(rp), dtype=np.int64)
+    rank[order] = np.arange(len(rp)) - np.searchsorted(by_member, by_member) + 1
+    # one row per pair: its best rank and its minimum distance
+    pair = q.astype(np.int64) * len(iids) + i
+    order = np.argsort(pair, kind="stable")
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    first = order[starts]
+    rank = np.minimum.reduceat(rank[order], starts)
+    dist = np.minimum.reduceat(dist[order], starts)
+    top = np.lexsort((i[first], q[first], dist, rank))[:n]
+    return pd.DataFrame(
+        {"rid_r": iids[i[first[top]]], "rid_s": qids[q[first[top]]], "dist": dist[top]}
+    )
 
 
 def cand_size_for(ds_name: str, n_s: int, size: str = "default") -> int:

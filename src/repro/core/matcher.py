@@ -148,9 +148,8 @@ def score_pairs(
     averaged inside the UDF into a single ``prob`` column. The store and
     all member parameters ride one broadcast; each task takes its
     worker's warm ``shared_lm``. The plan is lazy (no Spark job
-    runs here) and spreads the pairs round-robin over
-    ``defaultParallelism`` partitions, which fixes the row order of
-    the result. The broadcast is tied to the result
+    runs here) and scores ``pairs`` as laid out: one task per partition,
+    rows in the order of ``pairs``. The broadcast is tied to the result
     (``repro.spark.release``).
     """
     if average or len(params_list) == 1:
@@ -160,8 +159,7 @@ def score_pairs(
     schema = T.StructType(
         pairs.schema.fields + [T.StructField(c, T.DoubleType()) for c in out_cols]
     )
-    sc = spark.sparkContext
-    b = sc.broadcast((store, params_list))
+    b = spark.sparkContext.broadcast((store, params_list))
 
     def part(batches):
         store, params_list = b.value
@@ -181,7 +179,7 @@ def score_pairs(
                     pdf[c] = p
             yield pdf
 
-    scored = pairs.repartition(sc.defaultParallelism).mapInPandas(part, schema=schema)
+    scored = pairs.mapInPandas(part, schema=schema)
     return with_broadcasts(scored, b)
 
 

@@ -8,7 +8,9 @@ A distributed path (``knn_join``, ``score_pairs``, ``score_forest``)
 broadcasts its driver-side inputs and returns a lazy frame whose plan
 reads them. PySpark keeps every broadcast pickled in a file under the
 context's temp directory until ``destroy()``, so the frame carries its
-broadcasts and whoever drops the frame releases them with it.
+broadcasts and whoever drops the frame releases them with it
+(``retrieve_cand`` as soon as it has collected the k-NN rows). CAND
+itself is driver-backed and holds none.
 """
 from __future__ import annotations
 

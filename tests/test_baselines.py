@@ -1,7 +1,8 @@
 """Non-TPLM baseline: Random Forest + QBC over the Rules candidates."""
+import pandas as pd
 import pytest
 
-from repro.core import dial
+from repro.core import baselines, dial
 from repro.core.baselines import run_rf_qbc, score_forest
 from repro.forest.features import PairFeaturizer
 from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
@@ -58,8 +59,8 @@ def test_rf_qbc_live_seed0(spark, runner, wa, wa_store, monkeypatch):
 
 
 def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store, count_jobs):
-    """Forest scores from the distributed plan equal the driver's, and
-    building the plan runs no Spark job."""
+    """Forest scores from the distributed plan equal the driver's, row by
+    row in the input's order, and building the plan runs no Spark job."""
     feat = PairFeaturizer(
         wa.r_pdf, wa.s_pdf, wa_store.r_emb, wa_store.s_emb,
         wa_store.r_index, wa_store.s_index,
@@ -75,14 +76,49 @@ def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store, co
     pairs_df = spark.createDataFrame(pairs)
     plan = []
     assert count_jobs(
-        lambda: plan.append(score_forest(spark, pairs_df, feat, forest.trees, 2))
+        lambda: plan.append(score_forest(spark, pairs_df, feat, forest.trees))
     ) == 0
-    got = plan[0].toPandas().set_index(["rid_r", "rid_s"])
+    got = plan[0].toPandas()
+    assert pairs_df.rdd.getNumPartitions() > 1
+    assert list(zip(got.rid_r, got.rid_s)) == list(zip(pairs.rid_r, pairs.rid_s))
     import numpy as np
 
     X = feat(pairs)
-    want_p = forest_proba(forest.trees, X)
-    want_v = forest_vote_variance(forest.trees, X)
-    for j, (r, s) in enumerate(zip(pairs.rid_r, pairs.rid_s)):
-        np.testing.assert_allclose(got.prob.loc[(r, s)], want_p[j], atol=1e-9)
-        np.testing.assert_allclose(got.variance.loc[(r, s)], want_v[j], atol=1e-9)
+    np.testing.assert_allclose(got.prob, forest_proba(forest.trees, X), atol=1e-9)
+    np.testing.assert_allclose(got.variance, forest_vote_variance(forest.trees, X), atol=1e-9)
+
+
+def test_rf_qbc_round_runs_three_spark_jobs(spark, runner, wa, wa_store, monkeypatch, count_jobs):
+    """One RF-QBC round runs 3 Spark jobs: the collect of the scores and
+    the two evaluation collects. The Rules CAND is laid out once per run,
+    before the rounds."""
+    jobs, run_rounds = [], baselines._run_rounds
+
+    def counted(*a, **kw):
+        out = []
+        jobs.append(count_jobs(lambda: out.append(run_rounds(*a, **kw))))
+        return out[0]
+
+    monkeypatch.setattr(baselines, "_run_rounds", counted)
+    cfg = runner.config("walmart_amazon", rounds=1)
+    run_rf_qbc(spark, wa, cfg, runner.rules("walmart_amazon"), store=wa_store)
+    assert jobs == [3]
+
+
+def test_rf_qbc_scores_pairs_in_round_robin_order(spark, runner, wa, wa_store, monkeypatch):
+    """Vote-variance ties are broken by the scores' row order. The frame
+    ``run_rf_qbc`` scores has exactly the row order of the Rules CAND
+    split round-robin into one partition per 512 pairs (2 to 16)."""
+    rules = runner.rules("walmart_amazon")
+    seen, score = [], baselines.score_forest
+
+    def spy(spark_, pairs, *a, **kw):
+        seen.append(pairs.toPandas())
+        return score(spark_, pairs, *a, **kw)
+
+    monkeypatch.setattr(baselines, "score_forest", spy)
+    cfg = runner.config("walmart_amazon", rounds=1)
+    run_rf_qbc(spark, wa, cfg, rules, store=wa_store)
+    n_part = max(2, min(16, rules.count() // 512 or 2))
+    want = rules.select("rid_r", "rid_s").repartition(n_part).toPandas()
+    pd.testing.assert_frame_equal(seen[0], want)

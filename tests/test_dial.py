@@ -13,7 +13,7 @@ import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import evaluate
+from repro.core import dial, evaluate
 from repro.core.baselines import run_rf_qbc
 from repro.core.dial import ALConfig, BLOCKING_MODES, _run_rounds, _seed_labeled, run_al
 from repro.core.ibc import knn_k_for
@@ -284,6 +284,36 @@ def test_empty_cand_round_finishes(spark, runner, wa):
     assert h["n_labeled"] == cfg.seed_pos + cfg.seed_neg
     assert h["all_pairs"] == h["test"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
     assert h["batch_pos_rate"] == 0.0 and h["cand_overlap"] is None
+
+
+def test_rules_blocking_runs_the_greedy_selector(spark, runner, wa, wa_store, monkeypatch):
+    """The Rules CAND, laid out on the driver once per run, keeps its
+    ``dist``: a greedy round labels the B selectable pairs of smallest
+    distance."""
+    picked = []
+    select_ = dial.select
+
+    def record(name, cand, *a, **kw):
+        out = select_(name, cand, *a, **kw)
+        picked.append((cand, out))
+        return out
+
+    monkeypatch.setattr(dial, "select", record)
+    cfg = runner.config("walmart_amazon", blocking="rules", selector="greedy", rounds=1)
+    res = run_al(spark, wa, cfg, store=wa_store, rules_cand=runner.rules("walmart_amazon"))
+    ((cand, out),) = picked
+    assert len(res.history) == 1 and len(cand) > len(out) == cfg.budget
+    dist = cand.set_index(["rid_r", "rid_s"]).dist
+    got = sorted(dist.loc[list(zip(out.rid_r, out.rid_s))])
+    assert got == sorted(cand.dist)[: cfg.budget]
+
+
+def test_dial_round_runs_four_spark_jobs(spark, runner, wa, wa_store, count_jobs):
+    """One DIAL round runs 4 Spark jobs: the k-NN collect, the collect of
+    the scores and the two evaluation collects. CAND reaches scoring laid
+    out on the driver, so no shuffle, merge or count job runs between."""
+    cfg = runner.config("walmart_amazon", rounds=1)
+    assert count_jobs(lambda: run_al(spark, wa, cfg, store=wa_store)) == 4
 
 
 def test_seed_set_without_nonduplicate_pairs_fails():
