@@ -8,6 +8,10 @@ topological-order backward pass. Gradients are accumulated into
 Broadcasting is handled by summing the upstream gradient over the
 broadcast dimensions (``_unbroadcast``), so row/column-vector biases and
 pairwise-distance expansions "just work".
+
+The binary ops that carry a model's inputs (``+``, ``*``, ``@``) leave
+the gradient of a parent that needs none as ``None`` rather than
+computing it: ``er @ A`` with a ``const`` ``er`` never forms ``g @ A.T``.
 """
 from __future__ import annotations
 
@@ -67,7 +71,10 @@ class Tensor:
         o = self._lift(other)
 
         def bwd(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, o.shape))
+            return (
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(g, o.shape) if o.requires_grad else None,
+            )
 
         return self._make(self.data + o.data, (self, o), bwd)
 
@@ -87,8 +94,8 @@ class Tensor:
 
         def bwd(g):
             return (
-                _unbroadcast(g * o.data, self.shape),
-                _unbroadcast(g * self.data, o.shape),
+                _unbroadcast(g * o.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(g * self.data, o.shape) if o.requires_grad else None,
             )
 
         return self._make(self.data * o.data, (self, o), bwd)
@@ -113,7 +120,10 @@ class Tensor:
         o = self._lift(other)
 
         def bwd(g):
-            return (g @ o.data.T, self.data.T @ g)
+            return (
+                g @ o.data.T if self.requires_grad else None,
+                self.data.T @ g if o.requires_grad else None,
+            )
 
         return self._make(self.data @ o.data, (self, o), bwd)
 
@@ -243,7 +253,7 @@ class Tensor:
                 t.grad = g if t.grad is None else t.grad + g
                 continue
             for p, pg in zip(t._parents, t._backward(g)):
-                if not p.requires_grad:
+                if pg is None or not p.requires_grad:
                     continue
                 if p._backward is None:  # leaf param: accumulate directly
                     p.grad = pg if p.grad is None else p.grad + pg

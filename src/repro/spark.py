@@ -1,5 +1,5 @@
-"""The Spark session, and the lifetime of the broadcasts a lazy
-DataFrame reads.
+"""The Spark session, the lifetime of the broadcasts a lazy DataFrame
+reads, and the start-up cost of each Python task.
 
 ``session()`` is the one place that configures Spark: the test suite's
 ``spark`` fixture and every ``jobs/`` entry point call it.
@@ -11,11 +11,23 @@ context's temp directory until ``destroy()``, so the frame carries its
 broadcasts and whoever drops the frame releases them with it
 (``retrieve_cand`` as soon as it has collected the k-NN rows). CAND
 itself is driver-backed and holds none.
+
+Every task of a reused Python worker starts with
+``pyspark.worker_util.setup_spark_files``, which calls
+``importlib.invalidate_caches()``. On CPython 3.11 that makes each of
+the worker's ``zipimporter``s (16 of them on a Spark 4.1 install:
+``pyspark.zip`` and its subpackages, the py4j zip and the
+``spark-core`` jar) re-read its whole archive directory, which was
+most of a trivial task's time. ``skip_unchanged_archive_rereads``
+makes an importer re-read only an archive that changed; ``repro``
+installs it when it is imported inside a worker, and the driver's
+import machinery stays the stdlib's.
 """
 from __future__ import annotations
 
 import os
 import sys
+import zipimport
 from pathlib import Path
 from typing import Mapping
 
@@ -71,6 +83,30 @@ def session() -> SparkSession:
     )
     spark.sparkContext.setLogLevel("ERROR")
     return spark
+
+
+def skip_unchanged_archive_rereads() -> None:
+    """Make ``zipimporter.invalidate_caches`` re-read an archive's
+    directory only when the archive's ``(st_mtime_ns, st_size)`` differs
+    from what that importer last read, or cannot be read.
+
+    An importer re-reads on its first call after this one, since what it
+    read before is unknown. Call it once per process, and only in a
+    Spark Python worker.
+    """
+    reread = zipimport.zipimporter.invalidate_caches
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+            stamp = (st.st_mtime_ns, st.st_size)
+        except OSError:
+            stamp = None
+        if stamp is None or stamp != getattr(self, "_read_stamp", None):
+            reread(self)
+            self._read_stamp = stamp
+
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
 
 
 def with_broadcasts(df: DataFrame, *bs: Broadcast) -> DataFrame:

@@ -5,6 +5,7 @@ graphs (the actual model shapes) are checked too. A wrong gradient here
 silently corrupts every experiment, so these are exhaustive.
 """
 import gc
+import operator
 import weakref
 
 import numpy as np
@@ -225,3 +226,35 @@ def test_random_composite_graph_gradient(n, m, seed):
 
     check(f, (m, 3), (3, 2), seed=seed)
 
+
+
+def _mixed_graph(x, c, w, b, v):
+    """A matcher-like graph: constant inputs ``x``, ``c`` meet parameters
+    through ``@``, ``+`` and ``*`` on both sides."""
+    h = (x @ w + b).tanh()
+    return ((h * c + c * h) @ v + x @ (w @ v) + b @ v).pow(2).mean()
+
+
+def test_constant_inputs_leave_the_param_gradients_bit_identical():
+    """``@``, ``*`` and ``+`` skip the gradient of a ``const`` parent; the
+    parameters' gradients equal, bit for bit, those of the same graph
+    with every input a ``param``, where every term is computed."""
+    rng = np.random.default_rng(0)
+    x, c = rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
+    w, b, v = rng.standard_normal((4, 5)), rng.standard_normal((1, 5)), rng.standard_normal((5, 1))
+    mixed = [const(x), const(c), param(w), param(b), param(v)]
+    full = [param(a) for a in (x, c, w, b, v)]
+    _mixed_graph(*mixed).backward()
+    _mixed_graph(*full).backward()
+    assert mixed[0].grad is None and mixed[1].grad is None
+    for got, want in zip(mixed[2:], full[2:]):
+        assert np.array_equal(got.grad, want.grad)
+
+
+@pytest.mark.parametrize("op", [operator.matmul, operator.mul, operator.add])
+def test_binary_ops_skip_a_const_parents_gradient(op):
+    a, p = const(np.ones((3, 3))), param(np.ones((3, 3)))
+    for left, right in ((a, p), (p, a)):
+        out = op(left, right)
+        grads = out._backward(np.ones(out.shape))
+        assert [g is None for g in grads] == [left is a, right is a]

@@ -1,8 +1,11 @@
-"""The one Spark session factory, ``repro.spark.session()``."""
+"""The one Spark session factory, ``repro.spark.session()``, and the
+archive re-reads a Python worker skips."""
 import os
 import pathlib
 import subprocess
 import sys
+import zipfile
+import zipimport
 
 from repro.spark import SRC, driver_memory, session
 
@@ -72,3 +75,93 @@ def test_jobs_session_imports_repro_on_workers_without_pythonpath(tmp_path):
     heap, path = out.stdout.split()[-2:]
     assert (1 << 29) < int(heap) <= (1 << 30)  # the JVM got SPARK_DRIVER_MEM
     assert path == os.path.join(SRC, "repro", "__init__.py")
+
+
+_ARCHIVE_REREADS = """
+import importlib, sys, zipfile, zipimport
+
+from repro.spark import skip_unchanged_archive_rereads
+
+archive = sys.argv[1]
+with zipfile.ZipFile(archive, "w") as z:
+    z.writestr("zipped_a.py", "A = 1")
+sys.path.insert(0, archive)
+import zipped_a
+
+calls = []
+original = zipimport.zipimporter.invalidate_caches
+def counted(self):
+    calls.append(self.archive)
+    original(self)
+zipimport.zipimporter.invalidate_caches = counted
+skip_unchanged_archive_rereads()
+
+def rereads():
+    n = len(calls)
+    importlib.invalidate_caches()
+    return calls[n:].count(archive)
+
+first = rereads()  # what the importer read before is unknown
+unchanged = [rereads(), rereads()]
+with zipfile.ZipFile(archive, "w") as z:
+    z.writestr("zipped_a.py", "A = 1")
+    z.writestr("zipped_b.py", "B = 2")
+changed = rereads()
+import zipped_b
+print(first, unchanged, changed, zipped_b.B, rereads())
+"""
+
+
+def test_unchanged_archive_is_not_reread_and_a_changed_one_is(tmp_path):
+    """With the wrapper installed (in a process of its own, so this one
+    stays unpatched), ``importlib.invalidate_caches()`` re-reads a zip on
+    ``sys.path`` only after it changed, and a module added to it imports."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _ARCHIVE_REREADS, str(tmp_path / "lib.zip")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout.split("\n")[-2] == "1 [0, 0] 1 2 0"
+
+
+def test_reused_worker_rereads_no_unchanged_archive(spark, tmp_path):
+    """A reused Python worker's second task re-reads no archive, neither
+    in Spark's own ``invalidate_caches()`` at its start nor in one the
+    task makes; the driver keeps the stdlib's ``zipimporter``."""
+    archive = str(tmp_path / "probe.zip")
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("zipped_probe.py", "")
+
+    def probe(batches):
+        import importlib
+        import os
+        import sys
+        import zipimport
+
+        import repro  # noqa: F401  (as every repro UDF does when unpickled)
+
+        if archive not in sys.path:  # an archive whatever the Spark install
+            sys.path.append(archive)
+            import zipped_probe  # noqa: F401
+        reads = []
+        read_directory = zipimport._read_directory
+        zipimport._read_directory = lambda path: reads.append(path) or read_directory(path)
+        try:
+            importlib.invalidate_caches()
+        finally:
+            zipimport._read_directory = read_directory
+        zips = sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
+        for pdf in batches:
+            yield pdf.assign(pid=os.getpid(), zips=zips, reads=len(reads))
+
+    # a local session keeps at most one idle worker per task slot, so
+    # more one-task jobs than slots must run some worker twice
+    one_task = spark.range(1, numPartitions=1)
+    rows = [one_task.mapInPandas(probe, "id long, pid long, zips long, reads long").collect()[0]
+            for _ in range(spark.sparkContext.defaultParallelism + 2)]
+    later = [r for i, r in enumerate(rows) if r.pid in {q.pid for q in rows[:i]}]
+    assert later, "no Python worker was reused"
+    assert all(r.zips >= 1 and r.reads == 0 for r in later), rows
+    wrapped = zipimport.zipimporter.invalidate_caches
+    assert (wrapped.__module__, wrapped.__qualname__) == ("zipimport", "zipimporter.invalidate_caches")
