@@ -29,7 +29,7 @@ from repro.linalg.losses import (
     distance_classification_loss,
     triplet_loss,
 )
-from repro.linalg.optim import BATCH_SIZE, AdamW
+from repro.linalg.optim import fit_minibatches
 
 # Rank of each member's trained deviation A_k @ B_k from its identity-ish
 # base (the paper trains full d x d heads; see DESIGN.md §5).
@@ -159,56 +159,49 @@ class Blocker:
         if negatives == "labeled" and (neg_pairs is None or len(neg_pairs[0]) == 0):
             raise ValueError("labeled negatives requested but neg_pairs is empty")
         zp_r, zp_s = pos_pairs
-        n_pos = len(zp_r)
         if self.tau is None:
             self.tau = self._estimate_tau(z_r_pool, z_s_pool)
         trace: list[float] = []
         for k in range(self.n_members):
             rng = np.random.default_rng(seed * 7919 + k)
+
+            def batch_loss(idx):
+                b = len(idx)
+                if negatives == "random":
+                    # each member shuffles its own fresh random records
+                    ri = rng.integers(0, len(z_r_pool), b)
+                    si = rng.integers(0, len(z_s_pool), b)
+                    zn_r, zn_s = z_r_pool[ri], z_s_pool[si]
+                else:
+                    zn_all_r, zn_all_s = neg_pairs
+                    ni = rng.integers(0, len(zn_all_r), b)
+                    zn_r, zn_s = zn_all_r[ni], zn_all_s[ni]
+                zb_r, zb_s = zp_r[idx], zp_s[idx]
+                # dropout (rate 0.3) augmentation of the *positive*
+                # inputs: with only a few dozen labeled duplicates, a
+                # d x d map memorizes them; jittering the frozen inputs
+                # regularizes toward transforms that co-embed the
+                # unseen duplicates too (analogue of the paper's
+                # dropout layers in the RoBERTa heads, §4.2)
+                keep = 0.7
+                zb_r = zb_r * (rng.random(zb_r.shape) < keep) / keep
+                zb_s = zb_s * (rng.random(zb_s.shape) < keep) / keep
+                return self._loss(k, objective, zb_r, zb_s, zn_r, zn_s)
+
             extra = (
                 [self._cls_scale[k], self._cls_bias[k]]
                 if objective == "classification"
                 else []
             )
-            steps = max(1, (n_pos + BATCH_SIZE - 1) // BATCH_SIZE) * epochs
             # weight decay acts on the deviation factors A_k, B_k
-            opt = AdamW(
+            member_trace = fit_minibatches(
                 [([self.As[k], self.Bs[k]] + extra, 1e-3)],
-                total_steps=steps,
+                len(zp_r),
+                epochs,
+                rng,
+                batch_loss,
                 weight_decay=0.05,
             )
-            member_trace = []
-            for _ in range(epochs):
-                order = rng.permutation(n_pos)
-                losses = []
-                for b0 in range(0, n_pos, BATCH_SIZE):
-                    idx = order[b0 : b0 + BATCH_SIZE]
-                    b = len(idx)
-                    if negatives == "random":
-                        # each member shuffles its own fresh random records
-                        ri = rng.integers(0, len(z_r_pool), b)
-                        si = rng.integers(0, len(z_s_pool), b)
-                        zn_r, zn_s = z_r_pool[ri], z_s_pool[si]
-                    else:
-                        zn_all_r, zn_all_s = neg_pairs
-                        ni = rng.integers(0, len(zn_all_r), b)
-                        zn_r, zn_s = zn_all_r[ni], zn_all_s[ni]
-                    zb_r, zb_s = zp_r[idx], zp_s[idx]
-                    # dropout (rate 0.3) augmentation of the *positive*
-                    # inputs: with only a few dozen labeled duplicates, a
-                    # d x d map memorizes them; jittering the frozen inputs
-                    # regularizes toward transforms that co-embed the
-                    # unseen duplicates too (analogue of the paper's
-                    # dropout layers in the RoBERTa heads, §4.2)
-                    keep = 0.7
-                    zb_r = zb_r * (rng.random(zb_r.shape) < keep) / keep
-                    zb_s = zb_s * (rng.random(zb_s.shape) < keep) / keep
-                    loss = self._loss(k, objective, zb_r, zb_s, zn_r, zn_s)
-                    opt.zero_grad()
-                    loss.backward()
-                    opt.step()
-                    losses.append(loss.item())
-                member_trace.append(float(np.mean(losses)))
             if k == 0:
                 trace = member_trace
         return trace

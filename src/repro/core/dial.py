@@ -43,7 +43,7 @@ from repro.core.matcher import Matcher, pair_align_features, score_pairs
 from repro.core.selectors import select
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits
-from repro.linalg.optim import BATCH_SIZE, AdamW
+from repro.linalg.optim import fit_minibatches
 from repro.spark import release
 
 BLOCKING_MODES = ("dial", "paired_fixed", "paired_adapt", "sentencebert", "rules")
@@ -98,24 +98,19 @@ class _SBertBlocker:
         self.b = param(np.zeros(1))
 
     def fit(self, er, es, labels, *, epochs, seed):
-        n = len(labels)
-        opt = AdamW(
+        def batch_loss(idx):
+            u = const(er[idx]) @ self.B
+            v = const(es[idx]) @ self.B
+            f = Tensor.concat([u, v, (u - v).abs()], axis=1)
+            return bce_with_logits((f @ self.w + self.b).reshape(-1), labels[idx])
+
+        fit_minibatches(
             [([self.B], 3e-4), ([self.w, self.b], 3e-3)],
-            total_steps=epochs * max(1, (n + BATCH_SIZE - 1) // BATCH_SIZE),
+            len(labels),
+            epochs,
+            np.random.default_rng(seed),
+            batch_loss,
         )
-        rng = np.random.default_rng(seed)
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for b0 in range(0, n, BATCH_SIZE):
-                idx = order[b0 : b0 + BATCH_SIZE]
-                u = const(er[idx]) @ self.B
-                v = const(es[idx]) @ self.B
-                f = Tensor.concat([u, v, (u - v).abs()], axis=1)
-                logits = (f @ self.w + self.b).reshape(-1)
-                loss = bce_with_logits(logits, labels[idx])
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
 
     def transform(self, emb: np.ndarray) -> np.ndarray:
         return emb @ self.B.data

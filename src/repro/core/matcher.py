@@ -27,7 +27,7 @@ from pyspark.sql import types as T
 
 from repro.linalg.autograd import Tensor, const, param
 from repro.linalg.losses import bce_with_logits, class_balance_weights
-from repro.linalg.optim import BATCH_SIZE, AdamW
+from repro.linalg.optim import fit_minibatches
 from repro.spark import with_broadcasts
 from repro.text.features import HashedLM, N_ALIGN_FEATURES, alignment_features_batch, shared_lm
 
@@ -76,28 +76,19 @@ class Matcher:
     ) -> list[float]:
         """AdamW with per-group LRs and linear decay (§4.2). Returns the
         per-epoch mean loss trace (tests assert it decreases)."""
-        n = len(labels)
-        steps_per_epoch = max(1, (n + BATCH_SIZE - 1) // BATCH_SIZE)
-        opt = AdamW(
-            [([self.A], LR_BACKBONE), ([self.W1, self.b1, self.W2, self.b2], LR_HEAD)],
-            total_steps=epochs * steps_per_epoch,
-        )
-        rng = np.random.default_rng(seed)
         weights = class_balance_weights(labels)
-        trace = []
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            losses = []
-            for b0 in range(0, n, BATCH_SIZE):
-                idx = order[b0 : b0 + BATCH_SIZE]
-                opt.zero_grad()
-                logits = self.forward(er[idx], es[idx], align[idx])
-                loss = bce_with_logits(logits, labels[idx], weights[idx])
-                loss.backward()
-                opt.step()
-                losses.append(loss.item())
-            trace.append(float(np.mean(losses)))
-        return trace
+
+        def batch_loss(idx):
+            logits = self.forward(er[idx], es[idx], align[idx])
+            return bce_with_logits(logits, labels[idx], weights[idx])
+
+        return fit_minibatches(
+            [([self.A], LR_BACKBONE), ([self.W1, self.b1, self.W2, self.b2], LR_HEAD)],
+            len(labels),
+            epochs,
+            np.random.default_rng(seed),
+            batch_loss,
+        )
 
     # -- inference (numpy only, broadcast-friendly) ------------------------
     def params(self) -> dict:

@@ -44,13 +44,14 @@ TEST_CFG = dict(rounds=2, budget=12, seed_pos=12, seed_neg=12,
 TEST_SCALES = {k: 0.02 for k in BENCH_SCALES} | {"multilingual": 0.004, "abt_buy": 0.06}
 
 
-def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0) -> None:
+def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0) -> EmbeddingStore:
     """§4.5 seed/test construction for the multilingual dataset.
 
     Probe a pretrained index (k=3 NN of each s over the frozen base
     embeddings of R), split the retrieved pairs into duplicates and
     non-duplicates via gold, and sample the labeled seed set and the
-    test set from disjoint halves. Mutates ``ds`` in place.
+    test set from disjoint halves. Mutates ``ds`` in place and returns
+    the probe's ``EmbeddingStore``, the dataset's store at ``d``.
     """
     n_test = 200  # |D_test| (2000 in the paper, §4.5)
     store = EmbeddingStore(ds, d)
@@ -74,6 +75,7 @@ def prepare_multilingual(spark: SparkSession, ds, d: int, seed: int = 0) -> None
     ds.test = spark.createDataFrame(test)
     ds.seed_pos_pdf = pos.iloc[n_tp:].reset_index(drop=True)
     ds.seed_neg_pdf = neg.iloc[n_tn:].reset_index(drop=True)
+    return store
 
 
 class Runner:
@@ -99,7 +101,9 @@ class Runner:
                 ds = make_multilingual(
                     self.spark, scale=self.scales[name], seed=self.seed
                 )
-                prepare_multilingual(self.spark, ds, self.config(name).d, seed=self.seed)
+                self._stores[name] = prepare_multilingual(
+                    self.spark, ds, self.config(name).d, seed=self.seed
+                )
             else:
                 ds = make_dataset(
                     self.spark, name, scale=self.scales[name], seed=self.seed
@@ -108,8 +112,9 @@ class Runner:
         return self._datasets[name]
 
     def store(self, name: str) -> EmbeddingStore:
+        ds = self.dataset(name)  # multilingual: also caches its probe's store
         if name not in self._stores:
-            self._stores[name] = EmbeddingStore(self.dataset(name), self.config(name).d)
+            self._stores[name] = EmbeddingStore(ds, self.config(name).d)
         return self._stores[name]
 
     def rules(self, name: str):

@@ -109,82 +109,55 @@ def _dial_metrics(runner: Runner, d: str, **overrides) -> dict:
     }
 
 
-def table4(runner: Runner) -> dict:
+def _ablation(runner: Runner, title, axis, field, values, default, metrics, paper) -> dict:
+    """Tables 4-7: the DIAL run with ``field=value`` per value and
+    dataset, one row per metric. A value equal to ``default(dataset)``,
+    the default config's, runs without the override, so the default run
+    is reused (§4.2: |CAND| is medium by default, large on Abt-Buy)."""
     rows = []
-    for negatives in ("labeled", "random"):
-        ov = {} if negatives == "random" else {"blocker_negatives": "labeled"}
+    for v in values:
         for d in DATASETS:
-            m = _dial_metrics(runner, d, **ov)
-            for metric in ("cand_recall", "test_f1", "all_pairs_f1"):
-                rows.append(
-                    {
-                        "metric": metric, "negatives": negatives, "dataset": d,
-                        "value": _r(m[metric], 2),
-                        "paper": P.TABLE4[metric][negatives][d],
-                    }
-                )
-    return {"title": "Table 4: labeled vs random blocker negatives", "rows": rows}
+            m = _dial_metrics(runner, d, **({} if v == default(d) else {field: v}))
+            rows += [
+                {
+                    "metric": metric, axis: v, "dataset": d,
+                    "value": _r(m[metric], 2), "paper": paper[metric][v][d],
+                }
+                for metric in metrics
+            ]
+    return {"title": title, "rows": rows}
+
+
+def table4(runner: Runner) -> dict:
+    return _ablation(
+        runner, "Table 4: labeled vs random blocker negatives", "negatives",
+        "blocker_negatives", ("labeled", "random"), lambda d: "random",
+        ("cand_recall", "test_f1", "all_pairs_f1"), P.TABLE4,
+    )
 
 
 def table5(runner: Runner) -> dict:
-    rows = []
-    for objective in ("classification", "triplet", "contrastive"):
-        ov = {} if objective == "contrastive" else {"blocker_objective": objective}
-        for d in DATASETS:
-            m = _dial_metrics(runner, d, **ov)
-            for metric in ("test_f1", "all_pairs_f1"):
-                rows.append(
-                    {
-                        "metric": metric, "objective": objective, "dataset": d,
-                        "value": _r(m[metric], 2),
-                        "paper": P.TABLE5[metric][objective][d],
-                    }
-                )
-    return {"title": "Table 5: blocker training objective", "rows": rows}
-
-
-def _cand_size_override(dataset: str, size: str) -> dict:
-    """Canonicalize Table 6 sizes onto the default config when equal
-    (§4.2: default = medium for most datasets, = large for Abt-Buy), so
-    the default run is reused."""
-    if size == "medium" and dataset != "abt_buy":
-        return {}
-    if size == "large" and dataset == "abt_buy":
-        return {}
-    return {"cand_size": size}
+    return _ablation(
+        runner, "Table 5: blocker training objective", "objective",
+        "blocker_objective", ("classification", "triplet", "contrastive"),
+        lambda d: "contrastive", ("test_f1", "all_pairs_f1"), P.TABLE5,
+    )
 
 
 def table6(runner: Runner) -> dict:
-    rows = []
-    for size in ("small", "medium", "large"):
-        for d in DATASETS:
-            m = _dial_metrics(runner, d, **_cand_size_override(d, size))
-            for metric in ("cand_recall", "all_pairs_f1"):
-                rows.append(
-                    {
-                        "metric": metric, "size": size, "dataset": d,
-                        "value": _r(m[metric], 2),
-                        "paper": P.TABLE6[metric][size][d],
-                    }
-                )
-    return {"title": "Table 6: candidate-set size", "rows": rows}
+    return _ablation(
+        runner, "Table 6: candidate-set size", "size",
+        "cand_size", ("small", "medium", "large"),
+        lambda d: "large" if d == "abt_buy" else "medium",
+        ("cand_recall", "all_pairs_f1"), P.TABLE6,
+    )
 
 
 def table7(runner: Runner) -> dict:
-    rows = []
-    for n in (1, 3, 5):
-        ov = {} if n == 3 else {"committee_size": n}
-        for d in DATASETS:
-            m = _dial_metrics(runner, d, **ov)
-            for metric in ("test_f1", "all_pairs_f1"):
-                rows.append(
-                    {
-                        "metric": metric, "N": n, "dataset": d,
-                        "value": _r(m[metric], 2),
-                        "paper": P.TABLE7[metric][n][d],
-                    }
-                )
-    return {"title": "Table 7: committee size", "rows": rows}
+    return _ablation(
+        runner, "Table 7: committee size", "N", "committee_size", (1, 3, 5),
+        lambda d: 3, ("test_f1", "all_pairs_f1"), P.TABLE7,
+    )
 
 
 def table8(runner: Runner) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import jaccard, tokenize
 
 FEATURE_NAMES = [
     "title_jaccard",
@@ -34,13 +34,6 @@ def _record_maps(pdf: pd.DataFrame) -> dict:
         }
         for row in pdf.itertuples()
     }
-
-
-def _jac(a: frozenset, b: frozenset) -> float:
-    if not a or not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
 
 
 def _cont(a: frozenset, b: frozenset) -> float:
@@ -72,9 +65,9 @@ class PairFeaturizer:
             r, s = self.r_map[rid_r], self.s_map[rid_s]
             tr, ts = r["title_toks"], s["title_toks"]
             xr, xs = r["text_toks"], s["text_toks"]
-            out[i, 0] = _jac(tr, ts)
+            out[i, 0] = jaccard(tr, ts)
             out[i, 1] = _cont(tr, ts)
-            out[i, 2] = _jac(xr, xs)
+            out[i, 2] = jaccard(xr, xs)
             out[i, 3] = min(len(xr), len(xs)) / max(1, max(len(xr), len(xs)))
             out[i, 4] = float(bool(r["grp"]) and r["grp"] == s["grp"])
             out[i, 5] = float(bool(r["key"]) and r["key"] == s["key"])

@@ -1,7 +1,7 @@
 """Tiny reverse-mode automatic differentiation over numpy arrays.
 
 Implements exactly the ops DIAL's models need (matmul, broadcasted
-arithmetic, tanh/relu/exp/log/sqrt, reductions, concat, slicing) with a
+arithmetic, tanh/relu/exp/log/sqrt, reductions, concat) with a
 topological-order backward pass. Gradients are accumulated into
 ``Tensor.grad`` for leaves created with ``param``.
 
@@ -61,10 +61,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -185,14 +181,6 @@ class Tensor:
             return (g.reshape(self.shape),)
 
         return self._make(self.data.reshape(*shape), (self,), bwd)
-
-    def __getitem__(self, idx):
-        def bwd(g):
-            out = np.zeros_like(self.data)
-            np.add.at(out, idx, g)
-            return (out,)
-
-        return self._make(self.data[idx], (self,), bwd)
 
     def logsumexp(self, axis=-1, keepdims: bool = False):
         """Numerically-stable log-sum-exp (max is treated as constant)."""

@@ -1,8 +1,12 @@
-"""AdamW (decoupled weight decay) over autograd ``Tensor`` params.
+"""AdamW (decoupled weight decay) over autograd ``Tensor`` params, and
+the one minibatch trainer every gradient fit runs on.
 
-Mirrors the paper's optimizer choice (§4.2): AdamW with per-group
-learning rates (transformer backbone vs task heads) and a linear
-learning-rate schedule with no warm-up.
+Mirrors the paper's training recipe (§4.2): AdamW with per-group
+learning rates (transformer backbone vs task heads), a linear
+learning-rate schedule with no warm-up, and minibatches of 16.
+``fit_minibatches`` is that recipe; the matcher (Eq 6), each IBC
+committee member (Eq 8) and the SentenceBERT baseline supply only their
+parameter groups and their per-batch loss.
 """
 from __future__ import annotations
 
@@ -68,3 +72,41 @@ class AdamW:
                 mhat = m / (1 - BETA1 ** self.t)
                 vhat = v / (1 - BETA2 ** self.t)
                 p.data -= lr_t * (mhat / (np.sqrt(vhat) + EPS) + self.wd * p.data)
+
+
+def fit_minibatches(
+    groups: list[tuple[list[Tensor], float]],
+    n: int,
+    epochs: int,
+    rng: np.random.Generator,
+    batch_loss,
+    *,
+    weight_decay: float = 0.01,
+) -> list[float]:
+    """Train ``groups`` for ``epochs`` passes over ``n`` examples in
+    minibatches of ``BATCH_SIZE``; returns the mean loss of each epoch.
+
+    The learning rate decays linearly over every step of the run, so the
+    last step runs at scale 0. Each epoch draws ``rng.permutation(n)``
+    before its first ``batch_loss(idx)`` call, so draws that
+    ``batch_loss`` makes from the same ``rng`` follow the permutation.
+    ``batch_loss`` returns the scalar loss ``Tensor`` of the examples
+    ``idx``.
+    """
+    opt = AdamW(
+        groups,
+        weight_decay=weight_decay,
+        total_steps=epochs * max(1, (n + BATCH_SIZE - 1) // BATCH_SIZE),
+    )
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for b0 in range(0, n, BATCH_SIZE):
+            loss = batch_loss(order[b0 : b0 + BATCH_SIZE])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        trace.append(float(np.mean(losses)))
+    return trace

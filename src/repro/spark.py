@@ -66,7 +66,8 @@ def session() -> SparkSession:
     worker's (Spark appends the launch environment's ``PYTHONPATH``), so
     ``repro`` imports on both without an install. Broadcast joins happen
     only where a query asks for one (``F.broadcast``), so a toy-scale
-    test picks the same join strategies as a bench-scale run.
+    test picks the same join strategies as a bench-scale run. No
+    console progress bars: a job's stdout holds only what it prints.
     """
     if SRC not in sys.path:
         sys.path.insert(0, SRC)
@@ -75,6 +76,7 @@ def session() -> SparkSession:
         .config("spark.driver.memory", driver_memory(os.environ, _mem_total_kb()))
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.ui.showConsoleProgress", "false")
         .config("spark.executorEnv.PYTHONPATH", SRC)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")

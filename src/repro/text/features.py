@@ -21,7 +21,7 @@ import hashlib
 
 import numpy as np
 
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import jaccard, tokenize
 
 
 def _hash_seed(key: str) -> int:
@@ -112,13 +112,6 @@ def shared_lm(d: int) -> HashedLM:
 N_ALIGN_FEATURES = 6
 
 
-def _jac(a: set, b: set) -> float:
-    if not a or not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
-
-
 def alignment_features(lm: HashedLM, text_r: str, text_s: str) -> np.ndarray:
     """Cheap stand-in for paired-mode cross-attention (6 scalars).
 
@@ -147,8 +140,8 @@ def alignment_features(lm: HashedLM, text_r: str, text_s: str) -> np.ndarray:
             col_max.mean(),
             sim.max(),
             float((row_max > 0.9).mean()),
-            _jac(tok_r, tok_s),
-            _jac(num_r, num_s),
+            jaccard(tok_r, tok_s),
+            jaccard(num_r, num_s),
         ]
     )
 

@@ -1,5 +1,6 @@
 """Word tokenizer shared by the encoder, the Rules blocker and the
-JedAI-style pipelines, so "token" means the same thing system-wide."""
+JedAI-style pipelines, so "token" means the same thing system-wide, and
+the token-set Jaccard of the matcher's and the forest's pair features."""
 from __future__ import annotations
 
 import re
@@ -17,3 +18,11 @@ def tokenize(text: str) -> list[str]:
     if text is None:
         return []
     return _TOKEN_RE.findall(str(text).lower())
+
+
+def jaccard(a: set | frozenset, b: set | frozenset) -> float:
+    """|a ∩ b| / |a ∪ b|; 0 when either set is empty."""
+    if not a or not b:
+        return 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)

@@ -151,3 +151,62 @@ def test_member_params_snapshot_independent():
     p = b.member_params()[0]
     p.U[0, 0] += 99
     assert b.U0s[0][0, 0] != p.U[0, 0]
+
+
+def _reference_fit(b, pos_pairs, z_r_pool, z_s_pool, neg_pairs, objective, negatives, epochs, seed):
+    """Blocker.fit's per-member loop as written out before it ran on
+    ``fit_minibatches``: the trainer must reproduce it bit for bit."""
+    from repro.linalg.optim import BATCH_SIZE, AdamW
+
+    zp_r, zp_s = pos_pairs
+    n_pos = len(zp_r)
+    b.tau = b._estimate_tau(z_r_pool, z_s_pool)
+    trace = []
+    for k in range(b.n_members):
+        rng = np.random.default_rng(seed * 7919 + k)
+        extra = [b._cls_scale[k], b._cls_bias[k]] if objective == "classification" else []
+        steps = max(1, (n_pos + BATCH_SIZE - 1) // BATCH_SIZE) * epochs
+        opt = AdamW([([b.As[k], b.Bs[k]] + extra, 1e-3)], total_steps=steps, weight_decay=0.05)
+        member_trace = []
+        for _ in range(epochs):
+            order = rng.permutation(n_pos)
+            losses = []
+            for b0 in range(0, n_pos, BATCH_SIZE):
+                idx = order[b0 : b0 + BATCH_SIZE]
+                n = len(idx)
+                if negatives == "random":
+                    ri = rng.integers(0, len(z_r_pool), n)
+                    si = rng.integers(0, len(z_s_pool), n)
+                    zn_r, zn_s = z_r_pool[ri], z_s_pool[si]
+                else:
+                    ni = rng.integers(0, len(neg_pairs[0]), n)
+                    zn_r, zn_s = neg_pairs[0][ni], neg_pairs[1][ni]
+                zb_r, zb_s = zp_r[idx], zp_s[idx]
+                zb_r = zb_r * (rng.random(zb_r.shape) < 0.7) / 0.7
+                zb_s = zb_s * (rng.random(zb_s.shape) < 0.7) / 0.7
+                loss = b._loss(k, objective, zb_r, zb_s, zn_r, zn_s)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                losses.append(loss.item())
+            member_trace.append(float(np.mean(losses)))
+        if k == 0:
+            trace = member_trace
+    return trace
+
+
+@pytest.mark.parametrize("objective", ["contrastive", "classification"])
+@pytest.mark.parametrize("negatives", ["random", "labeled"])
+def test_fit_matches_the_reference_loop_bit_for_bit(negatives, objective):
+    z_r, z_s = _pools()
+    pos = _systematic_pos(b=37)
+    rng = np.random.default_rng(5)
+    neg = (rng.standard_normal((20, 32)) * 0.3, rng.standard_normal((20, 32)) * 0.3)
+    kw = dict(objective=objective, negatives=negatives, epochs=4, seed=3)
+    fitted, ref = Blocker(32, n_members=2, seed=1), Blocker(32, n_members=2, seed=1)
+    trace = fitted.fit(pos, z_r, z_s, neg_pairs=neg, **kw)
+    assert trace == _reference_fit(ref, pos, z_r, z_s, neg, **kw)
+    for a, b in zip(fitted.member_params(), ref.member_params()):
+        np.testing.assert_array_equal(a.U, b.U)
+    for a, b in zip(fitted._cls_scale + fitted._cls_bias, ref._cls_scale + ref._cls_bias):
+        np.testing.assert_array_equal(a.data, b.data)

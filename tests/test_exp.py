@@ -14,6 +14,30 @@ def test_runner_reuses_dataset_objects(runner):
     assert runner.store("walmart_amazon") is runner.store("walmart_amazon")
 
 
+def test_multilingual_store_is_encoded_once(spark, count_jobs):
+    """The store that probes the §4.5 seed/test pairs is the Runner's
+    store: asking for it encodes R and S no second time."""
+    runner = Runner(spark, profile="test")
+    runner.dataset("multilingual")
+    assert count_jobs(lambda: runner.store("multilingual")) == 0
+
+
+def test_multilingual_store_first_is_encoded_once(spark, monkeypatch):
+    """Asked for before its dataset, the store is still the probe's."""
+    from repro.exp import runner as runner_mod
+
+    made = []
+
+    class Counting(runner_mod.EmbeddingStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runner_mod, "EmbeddingStore", Counting)
+    runner = Runner(spark, profile="test")
+    assert runner.store("multilingual") is made[0] and len(made) == 1
+
+
 def _quality(res):
     return [{k: h[k] for k in ("n_labeled", "cand_recall", "cand_size", "test", "all_pairs")}
             for h in res["history"]]
@@ -94,13 +118,20 @@ def test_table9_timings_positive(runner):
     assert all(v >= 0 for v in by_op.values())
 
 
-def test_table6_medium_is_default_for_non_abt(runner):
-    from repro.exp.tables import _cand_size_override
+def test_table6_medium_is_default_for_non_abt(monkeypatch):
+    from repro.exp import tables
 
-    assert _cand_size_override("walmart_amazon", "medium") == {}
-    assert _cand_size_override("abt_buy", "medium") == {"cand_size": "medium"}
-    assert _cand_size_override("abt_buy", "large") == {}
-    assert _cand_size_override("walmart_amazon", "large") == {"cand_size": "large"}
+    calls = {}
+
+    def dial_metrics(runner, d, **overrides):
+        calls.setdefault(d, []).append(overrides)
+        return {"cand_recall": 1.0, "all_pairs_f1": 2.0}
+
+    monkeypatch.setattr(tables, "_dial_metrics", dial_metrics)
+    tables.table6(None)
+    # small, medium, large in turn; the default size runs without override
+    assert calls["walmart_amazon"] == [{"cand_size": "small"}, {}, {"cand_size": "large"}]
+    assert calls["abt_buy"] == [{"cand_size": "small"}, {"cand_size": "medium"}, {}]
 
 
 def test_results_json_serializable(runner):

@@ -87,3 +87,43 @@ def test_deterministic():
     p2, l2 = _quadratic_steps(steps=25)
     np.testing.assert_array_equal(p1.data, p2.data)
     assert l1 == l2
+
+
+def test_fit_minibatches_schedule(monkeypatch):
+    """Each epoch visits every index once in ceil(n / 16) batches after
+    one permutation draw; the run ends with the learning rate decayed to
+    0 at its last step; the trace holds one mean loss per epoch."""
+    from repro.linalg import optim
+
+    opts = []
+
+    class Recording(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    monkeypatch.setattr(optim, "AdamW", Recording)
+    n, epochs, target = 37, 3, const(np.array([1.0, -2.0, 3.0]))
+    p = param(np.zeros(3))
+    batches, losses = [], []
+
+    def batch_loss(idx):
+        batches.append(idx)
+        loss = (p - target).pow(2).sum() * (len(idx) / optim.BATCH_SIZE)
+        losses.append(loss.item())
+        return loss
+
+    trace = optim.fit_minibatches([([p], 0.1)], n, epochs, np.random.default_rng(3), batch_loss)
+    per_epoch = -(-n // optim.BATCH_SIZE)
+    assert len(batches) == epochs * per_epoch
+    assert [len(b) for b in batches[:per_epoch]] == [16, 16, 5]
+    perms = np.random.default_rng(3)
+    for e in range(epochs):
+        seen = np.concatenate(batches[e * per_epoch : (e + 1) * per_epoch])
+        np.testing.assert_array_equal(seen, perms.permutation(n))
+        assert trace[e] == float(np.mean(losses[e * per_epoch : (e + 1) * per_epoch]))
+    assert len(trace) == epochs
+    (opt,) = opts
+    assert opt.total_steps == epochs * per_epoch
+    assert opt.t == opt.total_steps and opt._lr_scale() == 0.0
+

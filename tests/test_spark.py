@@ -36,6 +36,8 @@ def test_spark_fixture_is_the_session(spark):
     assert conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
     assert conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     assert spark.sparkContext.getConf().get("spark.executorEnv.PYTHONPATH") == SRC
+    # no "[Stage N:>" progress bars in a job's output
+    assert spark.sparkContext.getConf().get("spark.ui.showConsoleProgress") == "false"
 
 
 _WORKER_IMPORT = """
