@@ -20,7 +20,7 @@ from pyspark.sql import types as T
 from repro.core.dial import ALConfig, ALResult, _run_rounds
 from repro.core.encoders import EmbeddingStore
 from repro.forest.features import PairFeaturizer
-from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
+from repro.forest.forest import RandomForest, forest_leaves, forest_proba, forest_vote_variance
 from repro.spark import with_broadcasts
 
 _SCHEMA = T.StructType(
@@ -50,13 +50,13 @@ def score_forest(
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            X = feat(pdf)
+            leaves = forest_leaves(trs, feat(pdf))
             yield pd.DataFrame(
                 {
                     "rid_r": pdf.rid_r.values,
                     "rid_s": pdf.rid_s.values,
-                    "prob": forest_proba(trs, X),
-                    "variance": forest_vote_variance(trs, X),
+                    "prob": forest_proba(leaves),
+                    "variance": forest_vote_variance(leaves),
                 }
             )
 

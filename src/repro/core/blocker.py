@@ -156,6 +156,8 @@ class Blocker:
         """
         assert objective in ("contrastive", "classification", "triplet")
         assert negatives in ("random", "labeled")
+        if len(pos_pairs[0]) == 0:
+            raise ValueError("committee fit (Blocker.fit) got no labeled duplicate pairs")
         if negatives == "labeled" and (neg_pairs is None or len(neg_pairs[0]) == 0):
             raise ValueError("labeled negatives requested but neg_pairs is empty")
         zp_r, zp_s = pos_pairs

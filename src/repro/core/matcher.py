@@ -76,6 +76,8 @@ class Matcher:
     ) -> list[float]:
         """AdamW with per-group LRs and linear decay (§4.2). Returns the
         per-epoch mean loss trace (tests assert it decreases)."""
+        if len(labels) == 0:
+            raise ValueError("matcher fit (Matcher.fit) got no labeled pairs")
         weights = class_balance_weights(labels)
 
         def batch_loss(idx):

@@ -29,12 +29,18 @@ class RandomForest:
         return self
 
 
-def forest_proba(trees: list[dict], X: np.ndarray) -> np.ndarray:
-    return np.mean([predict_tree(t, X) for t in trees], axis=0)
+def forest_leaves(trees: list[dict], X: np.ndarray) -> np.ndarray:
+    """(n_trees, n): each tree's leaf probability for each row of ``X``."""
+    return np.array([predict_tree(t, X) for t in trees])
 
 
-def forest_vote_variance(trees: list[dict], X: np.ndarray) -> np.ndarray:
+def forest_proba(leaves: np.ndarray) -> np.ndarray:
+    """The forest's match probability: the trees' mean leaf probability."""
+    return np.mean(leaves, axis=0)
+
+
+def forest_vote_variance(leaves: np.ndarray) -> np.ndarray:
     """Mozafari et al.'s QBC variance: v = q(1-q), q = #match/m where
     a member "predicts match" if its leaf probability > 0.5."""
-    votes = np.mean([(predict_tree(t, X) > 0.5) for t in trees], axis=0)
+    votes = np.mean(leaves > 0.5, axis=0)
     return votes * (1 - votes)

@@ -1,4 +1,4 @@
-"""Similarity-join / blocking substrate (Spark SQL dataflows).
+"""Similarity-join / blocking substrate (Spark dataflows).
 
 Provides the non-learning machinery the paper compares against:
 token blocking, the per-dataset hand-crafted Rules blocker, meta-

@@ -5,7 +5,7 @@ import pytest
 from repro.core import baselines, dial
 from repro.core.baselines import run_rf_qbc, score_forest
 from repro.forest.features import PairFeaturizer
-from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
+from repro.forest.forest import RandomForest, forest_leaves, forest_proba, forest_vote_variance
 
 
 def test_rf_loop_runs(runner):
@@ -83,9 +83,9 @@ def test_score_forest_distributed_matches_driver(spark, runner, wa, wa_store, co
     assert list(zip(got.rid_r, got.rid_s)) == list(zip(pairs.rid_r, pairs.rid_s))
     import numpy as np
 
-    X = feat(pairs)
-    np.testing.assert_allclose(got.prob, forest_proba(forest.trees, X), atol=1e-9)
-    np.testing.assert_allclose(got.variance, forest_vote_variance(forest.trees, X), atol=1e-9)
+    leaves = forest_leaves(forest.trees, feat(pairs))
+    np.testing.assert_allclose(got.prob, forest_proba(leaves), atol=1e-9)
+    np.testing.assert_allclose(got.variance, forest_vote_variance(leaves), atol=1e-9)
 
 
 def test_rf_qbc_round_runs_three_spark_jobs(spark, runner, wa, wa_store, monkeypatch, count_jobs):

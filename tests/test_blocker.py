@@ -77,6 +77,15 @@ def test_fit_reduces_loss(objective):
     assert trace[-1] < trace[0]
 
 
+def test_fit_without_labeled_duplicates_fails():
+    """A T with no duplicate trains nothing: the committee fit says so
+    instead of returning a NaN trace."""
+    z_r, z_s = _pools()
+    empty = np.empty((0, 32))
+    with pytest.raises(ValueError, match=r"committee fit \(Blocker\.fit\)"):
+        Blocker(32, n_members=1, seed=0).fit((empty, empty), z_r, z_s, epochs=2)
+
+
 def test_contrastive_training_aligns_systematic_shift():
     """After training, shifted duplicates are closer than random pairs —
     the learned-alignment property Table 3 depends on."""

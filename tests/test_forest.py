@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.forest.features import FEATURE_NAMES, PairFeaturizer
-from repro.forest.forest import RandomForest, forest_proba, forest_vote_variance
+from repro.forest.forest import RandomForest, forest_leaves, forest_proba, forest_vote_variance
 from repro.forest.tree import DecisionTree, predict_tree
 
 
@@ -57,7 +57,7 @@ def test_forest_beats_chance_and_is_deterministic():
     X, y = _xor_free_data(400, 4)
     f1 = RandomForest(n_trees=10, seed=0).fit(X, y)
     f2 = RandomForest(n_trees=10, seed=0).fit(X, y)
-    p1, p2 = forest_proba(f1.trees, X), forest_proba(f2.trees, X)
+    p1, p2 = (forest_proba(forest_leaves(f.trees, X)) for f in (f1, f2))
     np.testing.assert_allclose(p1, p2)
     assert (((p1 > 0.5) == y).mean()) > 0.95
 
@@ -65,7 +65,7 @@ def test_forest_beats_chance_and_is_deterministic():
 def test_forest_vote_variance_bounds():
     X, y = _xor_free_data(200, 5)
     f = RandomForest(n_trees=20, seed=0).fit(X, y)
-    v = forest_vote_variance(f.trees, X)
+    v = forest_vote_variance(forest_leaves(f.trees, X))
     assert np.all(v >= 0) and np.all(v <= 0.25 + 1e-12)
 
 
@@ -76,14 +76,24 @@ def test_vote_variance_high_on_ambiguous_points():
     f = RandomForest(n_trees=20, seed=0).fit(X, y)
     near = np.column_stack([np.full(50, 0.5), rng.random(50)])
     far = np.column_stack([np.full(50, 0.95), rng.random(50)])
-    assert forest_vote_variance(f.trees, near).mean() > forest_vote_variance(f.trees, far).mean()
+    v_near, v_far = (forest_vote_variance(forest_leaves(f.trees, x)) for x in (near, far))
+    assert v_near.mean() > v_far.mean()
 
 
 def test_forest_proba_is_tree_mean():
     X, y = _xor_free_data(100, 7)
     f = RandomForest(n_trees=5, seed=0).fit(X, y)
     want = np.mean([predict_tree(t, X) for t in f.trees], axis=0)
-    np.testing.assert_allclose(forest_proba(f.trees, X), want)
+    np.testing.assert_array_equal(forest_proba(forest_leaves(f.trees, X)), want)
+
+
+def test_forest_vote_variance_is_per_tree_vote_share():
+    """Both scores read one leaf matrix; the variance equals the
+    per-tree loop bit for bit."""
+    X, y = _xor_free_data(200, 8)
+    f = RandomForest(n_trees=20, seed=0).fit(X, y)
+    q = np.mean([(predict_tree(t, X) > 0.5) for t in f.trees], axis=0)
+    np.testing.assert_array_equal(forest_vote_variance(forest_leaves(f.trees, X)), q * (1 - q))
 
 
 # -- pair features ----------------------------------------------------------

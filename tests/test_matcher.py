@@ -37,6 +37,16 @@ def test_training_reduces_loss(trained):
     assert trace[-1] < 0.7 * trace[0]
 
 
+def test_fit_on_empty_T_fails():
+    """An empty T trains nothing: the matcher fit says so instead of
+    returning a NaN trace."""
+    d = 8
+    with pytest.raises(ValueError, match=r"matcher fit \(Matcher\.fit\)"):
+        Matcher(d, seed=0).fit(
+            np.empty((0, d)), np.empty((0, d)), np.empty((0, 6)), np.empty(0), epochs=2
+        )
+
+
 def test_training_fits_training_set(trained):
     m, T, er, es, align, _ = trained
     p = _proba(m, er, es, align)
