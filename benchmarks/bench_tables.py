@@ -1,18 +1,22 @@
-"""Table 3 (multilingual): PairedFixed/PairedAdapt/DIAL all-pairs P/R/F1.
+"""The paper's Tables 1-10 at bench scale, one case per table.
 
 AL runs are computed live and memoized on the session's Runner, so a
-configuration an earlier table ran is reused; the benchmark measures the
-table-harness end-to-end time and emits paper-vs-measured rows to
-bench_results/table03.{txt,md}.
+configuration an earlier table ran is reused; each case measures its
+table harness end to end and writes its paper-vs-measured rows to
+bench_results/tableNN.md.
 """
+import pytest
+
 from repro.exp.report import emit
-from repro.exp.tables import table3
+from repro.exp.tables import TABLES
 
 
-def test_table03(benchmark, bench_runner, results_dir):
-    result = benchmark.pedantic(lambda: table3(bench_runner), rounds=1, iterations=1)
+@pytest.mark.parametrize("n", sorted(TABLES))
+def test_table(benchmark, bench_runner, results_dir, n):
+    result = benchmark.pedantic(lambda: TABLES[n](bench_runner), rounds=1, iterations=1)
     assert result["rows"]
-    emit(results_dir, 3, result)
+    emit(results_dir, n, result)
+
 
 def test_table03_shape(benchmark, bench_runner, results_dir):
     """The paper's headline: DIAL recalls far more cross-lingual

@@ -176,8 +176,7 @@ def score_pairs(
     return with_broadcasts(scored, b)
 
 
-def pair_align_features(store, pairs: pd.DataFrame, lm: HashedLM | None = None) -> np.ndarray:
+def pair_align_features(store, pairs: pd.DataFrame) -> np.ndarray:
     """Driver-side alignment features for a small pair frame (training)."""
-    lm = lm or HashedLM(store.d)
     tr, ts = store.pair_texts(pairs)
-    return alignment_features_batch(lm, tr, ts)
+    return alignment_features_batch(HashedLM(store.d), tr, ts)

@@ -1,8 +1,6 @@
-"""Markdown rendering of table results for EXPERIMENTS.md."""
+"""Markdown rendering of the table results: the one rendering of the
+paper-vs-measured rows, in ``bench_results/tableNN.md``."""
 from __future__ import annotations
-
-from repro.exp.runner import Runner
-from repro.exp.tables import TABLES
 
 
 def table_markdown(result: dict) -> str:
@@ -19,16 +17,9 @@ def table_markdown(result: dict) -> str:
     return "\n".join(lines)
 
 
-def all_tables_markdown(runner: Runner) -> dict[int, str]:
-    return {n: table_markdown(TABLES[n](runner)) for n in sorted(TABLES)}
-
-
 def emit(results_dir, table_no: int, result: dict) -> None:
-    """Write one table's paper-vs-measured rows (txt + md) and echo it.
-    Used by the benchmarks to populate bench_results/."""
-    from repro.exp.tables import format_table
-
-    text = format_table(result)
-    (results_dir / f"table{table_no:02d}.txt").write_text(text + "\n")
-    (results_dir / f"table{table_no:02d}.md").write_text(table_markdown(result))
-    print("\n" + text)
+    """Write one table's paper-vs-measured rows to
+    ``results_dir/tableNN.md`` and echo them."""
+    md = table_markdown(result)
+    (results_dir / f"table{table_no:02d}.md").write_text(md)
+    print("\n" + md)

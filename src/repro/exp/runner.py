@@ -4,7 +4,7 @@ Holds per-process state (datasets, embedding stores, Rules candidate
 sets) and memoizes AL results on the Runner, keyed by the resolved
 config, so the many table sweeps that share a configuration (the DIAL
 default run feeds Tables 2/4/5/6/7/8/9) execute exactly once per pytest
-session or ``make_experiments_md.py`` run. Nothing is kept on disk:
+session or ``jobs/paper_tables.py`` run. Nothing is kept on disk:
 every result a Runner returns was computed by the code it imported.
 """
 from __future__ import annotations

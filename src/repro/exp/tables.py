@@ -2,8 +2,8 @@
 
 Each ``tableN(runner)`` returns ``{"title", "columns", "rows"}`` where
 every row carries the measured value and the paper's value side by
-side; ``format_table`` renders the rows the way the paper prints them.
-The benchmarks call these and ``jobs/`` wraps them for spark-submit.
+side; ``repro.exp.report`` renders them as markdown.
+``benchmarks/bench_tables.py`` and ``jobs/paper_tables.py`` run them.
 """
 from __future__ import annotations
 
@@ -214,22 +214,3 @@ TABLES = {
     1: table1, 2: table2, 3: table3, 4: table4, 5: table5,
     6: table6, 7: table7, 8: table8, 9: table9, 10: table10,
 }
-
-
-def format_table(result: dict) -> str:
-    """Fixed-width text rendering of a table result (paper vs measured)."""
-    rows = result["rows"]
-    if not rows:
-        return result["title"] + "\n  (no rows)"
-    cols = list(rows[0].keys())
-    widths = {
-        c: max(len(str(c)), *(len(str(r.get(c, ""))) for r in rows)) for c in cols
-    }
-    lines = [result["title"]]
-    lines.append("  " + " | ".join(str(c).ljust(widths[c]) for c in cols))
-    lines.append("  " + "-+-".join("-" * widths[c] for c in cols))
-    for r in rows:
-        lines.append(
-            "  " + " | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols)
-        )
-    return "\n".join(lines)

@@ -4,10 +4,8 @@ Token blocking over all attribute values yields a redundancy-positive
 block collection; the blocking graph weights each record pair by its
 co-occurrence evidence, then prunes unpromising edges:
 
-- **CBS** (common blocks scheme): weight = number of shared blocks.
 - **ARCS**: weight = sum over shared blocks of 1/||block|| — rarer
-  blocks count more (the scheme JedAI's schema-agnostic workflow
-  favours on these datasets).
+  blocks count more (the scheme JedAI's schema-agnostic workflow runs).
 - **WNP** (weighted node pruning): keep an edge iff its weight reaches
   the mean edge weight of either endpoint.
 """
@@ -19,8 +17,8 @@ from pyspark.sql import functions as F
 from repro.simjoin.tokens import explode_tokens
 
 
-def blocking_graph(r_df: DataFrame, s_df: DataFrame, scheme: str = "arcs") -> DataFrame:
-    """DataFrame(rid_r, rid_s, weight): the weighted blocking graph.
+def blocking_graph(r_df: DataFrame, s_df: DataFrame) -> DataFrame:
+    """DataFrame(rid_r, rid_s, weight): the ARCS-weighted blocking graph.
 
     Blocks are tokens of all attribute values (``text``); block cardinality ||b|| is the number
     of comparisons the block induces (n_r * n_s within the block).
@@ -35,13 +33,7 @@ def blocking_graph(r_df: DataFrame, s_df: DataFrame, scheme: str = "arcs") -> Da
         .select("token", "block_card")
     )
     edges = rt.join(st, "token").join(card, "token")
-    if scheme == "cbs":
-        w = F.count("*")
-    elif scheme == "arcs":
-        w = F.sum(1.0 / F.col("block_card"))
-    else:
-        raise ValueError(scheme)
-    return edges.groupBy("rid_r", "rid_s").agg(w.alias("weight"))
+    return edges.groupBy("rid_r", "rid_s").agg(F.sum(1.0 / F.col("block_card")).alias("weight"))
 
 
 def weighted_node_pruning(graph: DataFrame) -> DataFrame:

@@ -2,7 +2,7 @@
 reads, and the start-up cost of each Python task.
 
 ``session()`` is the one place that configures Spark: the test suite's
-``spark`` fixture and every ``jobs/`` entry point call it.
+``spark`` fixture and ``jobs/paper_tables.py`` call it.
 
 A distributed path (``knn_join``, ``score_pairs``, ``score_forest``)
 broadcasts its driver-side inputs and returns a lazy frame whose plan

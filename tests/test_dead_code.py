@@ -1,5 +1,6 @@
-"""Dead-code guard: every function, class and method under ``src/repro``
-is referenced from code outside ``tests/``.
+"""Dead-code guard: every module under ``src/repro`` is imported, and
+every function, class and method there is referenced, from code outside
+``tests/``.
 
 A name counts as referenced when it appears outside ``tests/`` as an
 identifier, an attribute or a word inside a string literal (perfbench
@@ -7,7 +8,9 @@ hooks functions by ``"module:qualname"`` strings). An import alone,
 such as a package's re-export, does not count, nor does a docstring.
 Methods are matched by their bare name, so one call of ``.fit`` keeps
 every ``fit`` alive. Exempt: dunder methods, which Python calls itself, and
-``repro.oracle``, the DuckDB reference that only tests call.
+``repro.oracle``, the DuckDB reference that only tests call. A module
+counts as imported when some file outside ``tests/`` names it in an
+``import`` statement; package ``__init__``s are exempt.
 """
 import ast
 import re
@@ -56,19 +59,43 @@ def _names_in(path: Path) -> set[str]:
     return names
 
 
-def _used_outside_tests() -> set[str]:
+def _files_outside_tests() -> list[Path]:
     files = list(ROOT.glob("*.py"))
     for top in ("src", "jobs", "benchmarks", "perfbench"):
         files += (ROOT / top).rglob("*.py")
+    # the oracle serves the tests
+    return [p for p in files if not (p.parent == SRC and p.name == "oracle.py")]
+
+
+def _used_outside_tests() -> set[str]:
     used = set()
-    for path in files:
-        if path.parent == SRC and path.name == "oracle.py":
-            continue  # the oracle serves the tests
+    for path in _files_outside_tests():
         used |= _names_in(path)
     return used
+
+
+def _imported_outside_tests() -> set[str]:
+    """Every dotted name an ``import`` outside ``tests/`` may load:
+    ``import a.b`` and ``from a.b import c`` give ``a.b`` and ``a.b.c``."""
+    imported = set()
+    for path in _files_outside_tests():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+    return imported
 
 
 def test_every_definition_is_used_outside_tests():
     used = _used_outside_tests()
     dead = [f"{mod}:{qual}" for mod, qual, name in _definitions() if name not in used]
     assert not dead, f"referenced only from tests/, or from nowhere: {dead}"
+
+
+def test_every_module_is_imported_outside_tests():
+    imported = _imported_outside_tests()
+    modules = [_module(p) for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    dead = [m for m in modules if m not in imported and m not in EXEMPT_MODULES]
+    assert not dead, f"imported only from tests/, or from nowhere: {dead}"

@@ -105,7 +105,7 @@ def test_dial_beats_pretrained_on_multilingual(runner):
     dial = runner.al_result("multilingual", blocking="dial")
     fixed = runner.al_result("multilingual", blocking="paired_fixed")
     # at the tiny test scale the gap is a few points; the bench run
-    # (benchmarks/bench_table03.py) asserts the paper-sized gap
+    # (benchmarks/bench_tables.py::test_table03_shape) asserts the paper-sized gap
     assert dial["final"]["cand_recall"] >= fixed["final"]["cand_recall"]
 
 

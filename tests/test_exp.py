@@ -6,7 +6,7 @@ import uuid
 from repro.exp import paper_numbers as P
 from repro.exp.report import table_markdown
 from repro.exp.runner import Runner
-from repro.exp.tables import TABLES, format_table, table1
+from repro.exp.tables import TABLES, table1
 
 
 def test_runner_reuses_dataset_objects(runner):
@@ -88,11 +88,6 @@ def test_table1_rows(runner):
     for row in res["rows"]:
         assert row["|R|"] > 0 and row["paper_|R|"] > 0
         assert 0 < row["dup_ratio"] < 1
-
-
-def test_format_table_renders(runner):
-    out = format_table(table1(runner))
-    assert "Table 1" in out and "walmart_amazon" in out
 
 
 def test_table_markdown_renders(runner):

@@ -244,9 +244,12 @@ def test_rules_product_key_equality_included(spark, wa):
 
 # -- meta-blocking ----------------------------------------------------------
 
-def test_blocking_graph_cbs_oracle(spark, toy):
+def test_blocking_graph_arcs_oracle(spark, toy):
+    """ARCS: a pair's weight is the sum of 1/(n_r(t)·n_s(t)) over the
+    tokens t it shares, n_r(t) and n_s(t) the records of R and of S
+    that hold t."""
     rdf, sdf, r, s = toy
-    got = blocking_graph(rdf, sdf, "cbs")
+    got = blocking_graph(rdf, sdf)
     assert_equivalent(
         got,
         """
@@ -255,9 +258,12 @@ def test_blocking_graph_cbs_oracle(spark, toy):
               WHERE t.token <> ''),
              st AS (SELECT DISTINCT rid, t.token FROM s,
               unnest(string_split(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g'), ' ')) t(token)
-              WHERE t.token <> '')
-        SELECT rt.rid AS rid_r, st.rid AS rid_s, count(*)::DOUBLE AS weight
-        FROM rt JOIN st USING (token) GROUP BY 1, 2
+              WHERE t.token <> ''),
+             nr AS (SELECT token, count(*) AS n_r FROM rt GROUP BY token),
+             ns AS (SELECT token, count(*) AS n_s FROM st GROUP BY token)
+        SELECT rt.rid AS rid_r, st.rid AS rid_s, sum(1.0 / (n_r * n_s))::DOUBLE AS weight
+        FROM rt JOIN st USING (token) JOIN nr USING (token) JOIN ns USING (token)
+        GROUP BY 1, 2
         """,
         r=r,
         s=s,

@@ -44,7 +44,7 @@ _WORKER_IMPORT = """
 import sys
 
 sys.path.insert(0, sys.argv[1])
-from _common import session
+from paper_tables import session
 
 spark = session()
 
